@@ -3,8 +3,7 @@ quiver data, with a symbolic rewriting engine for cross-validation."""
 
 from .algebra import (CornerAxiomReport, CornerData, Element, LeavittAlgebra,
                       Monomial, Path, corner_data, corner_phi, enumerate_basis,
-                      grading_components, multiply, render_element, star,
-                      verify_corner_axioms)
+                      render_element, verify_corner_axioms)
 from .element_syntax import ElementSyntaxError, parse_element
 from .filtration import (Block, BlockProfile, block_profile,
                          expected_inclusion_matrix, expected_phi_matrix,
@@ -12,7 +11,7 @@ from .filtration import (Block, BlockProfile, block_profile,
                          phi_k0_matrix, stabilized_block_difference)
 from .groups import (FinAbGroup, Modulus, SizeLimitError,
                      brute_force_mod_oracle, cokernel_int, cokernel_mod,
-                     factorize, group_direct_sum, kernel_mod, kernel_rank_int)
+                     factorize, kernel_cokernel, kernel_mod, kernel_rank_int)
 from .ktheory import (CoefficientTheory, DegreeData, DivisibilityReport,
                       KEntry, KGroupTable, LesEntry, SplitCheckResult,
                       corner_les, divisibility_report, leavitt_matrix,

@@ -355,18 +355,6 @@ def render_element(a: Element) -> str:
     return " ".join(pieces)
 
 
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
-def star(a: Element) -> Element:
-    return a.star()
-
-
-def grading_components(a: Element) -> dict:
-    return a.degree_components()
-
-
 @dataclass(frozen=True)
 class CornerData:
     """The corner-skew structure: t+ = sum of one chosen incoming arrow
@@ -533,10 +521,7 @@ __all__ = [
     "corner_data",
     "corner_phi",
     "enumerate_basis",
-    "grading_components",
-    "multiply",
     "random_degree_zero_element",
     "render_element",
-    "star",
     "verify_corner_axioms",
 ]

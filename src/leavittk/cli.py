@@ -2,7 +2,8 @@
 
 Subcommands: kmod, analyze, algebra, filtration, split.  Output is
 deterministic byte-for-byte for fixed input; errors go to stderr only.
-Exit codes: 0 ok, 1 parse error, 2 quiver has sources, 3 bad modulus.
+Exit codes: 0 ok, 1 parse error, 2 quiver has sources, 3 bad modulus,
+4 work bound exceeded.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ import argparse
 import sys
 import warnings
 
-from .algebra import LeavittAlgebra, grading_components, render_element
+from .algebra import LeavittAlgebra, render_element
 from .element_syntax import ElementSyntaxError, parse_element
 from .filtration import (block_profile, expected_inclusion_matrix,
                          expected_phi_matrix, filtration_span_dim,
                          inclusion_k0_matrix, phi_k0_matrix)
-from .groups import FinAbGroup, Modulus
+from .groups import Modulus, SizeLimitError
 from .ktheory import (DEFAULT_WINDOW, divisibility_report, mod_l_ktheory,
                       moore_splitting_check)
 from .quiver import (OrderedQuiver, QuiverParseError, SourcesPresentError,
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_SOURCES = 2
 EXIT_MODULUS = 3
+EXIT_WORK = 4
 
 
 class _CliError(Exception):
@@ -68,10 +70,6 @@ def _parse_prime_power(text: str):
     if Modulus.of(l).factorization != ((l, 1),):
         raise _CliError(EXIT_MODULUS, f"{l} is not prime")
     return l, nu
-
-
-def _group_text(g: FinAbGroup) -> str:
-    return str(g)
 
 
 def _banner(modulus: Modulus) -> list:
@@ -123,8 +121,8 @@ def _cmd_kmod(args) -> str:
                 f"algebraically closed k, char(k) coprime to {modulus.m}"),
                ("modulus", str(modulus.m))]
     for n, entry in table.entries:
-        lines.append(f"K_{{{n}}}(L_Q; Z/{modulus.m}) = {_group_text(entry.group)}")
-        records.append((f"K_{{{n}}}", _group_text(entry.group)))
+        lines.append(f"K_{{{n}}}(L_Q; Z/{modulus.m}) = {entry.group}")
+        records.append((f"K_{{{n}}}", str(entry.group)))
     return _emit(lines, records, args.format)
 
 
@@ -155,9 +153,9 @@ def _cmd_analyze(args) -> str:
         lines.append(f"[modulus {tag} = {entry.modulus.m}]")
         for n, kentry in entry.table.entries:
             lines.append(f"K_{{{n}}}(L_Q; Z/{entry.modulus.m}) = "
-                         f"{_group_text(kentry.group)}")
+                         f"{kentry.group}")
             records.append((f"K_{{{n}}}(mod {entry.modulus.m})",
-                            _group_text(kentry.group)))
+                            str(kentry.group)))
         for conclusion in entry.conclusions:
             lines.append(f"conclusion: {conclusion}")
             records.append((f"conclusion(mod {entry.modulus.m})", conclusion))
@@ -173,7 +171,7 @@ def _cmd_algebra(args) -> str:
         raise _CliError(EXIT_PARSE, str(exc))
     lines = [f"normal form: {render_element(value)}"]
     records = [("normal_form", render_element(value))]
-    for degree, part in grading_components(value).items():
+    for degree, part in value.degree_components().items():
         lines.append(f"degree {degree}: {render_element(part)}")
         records.append((f"degree_{degree}", render_element(part)))
     return _emit(lines, records, args.format)
@@ -191,6 +189,8 @@ def _cmd_filtration(args) -> str:
         phi = phi_k0_matrix(q, n)
     except SourcesPresentError as exc:
         raise _CliError(EXIT_SOURCES, str(exc))
+    except SizeLimitError as exc:
+        raise _CliError(EXIT_WORK, f"work bound exceeded: {exc}")
     lines = [f"level {n}: {profile.count} blocks"]
     records = [("level", str(n)), ("blocks", str(profile.count))]
     for b in profile.blocks:
@@ -232,12 +232,12 @@ def _cmd_split(args) -> str:
                ("modulus", str(modulus.m))]
     right = dict(result.right_groups)
     for deg, ok in result.equal_by_degree:
-        left = _group_text(result.left.group_at(deg))
+        left = result.left.group_at(deg)
         lines.append(f"degree {deg}: whole = {left}; "
-                     f"sum of factors = {_group_text(right[deg])}; "
+                     f"sum of factors = {right[deg]}; "
                      + ("equal" if ok else "DIFFERENT"))
         records.append((f"degree_{deg}",
-                        f"{left} | {_group_text(right[deg])} | "
+                        f"{left} | {right[deg]} | "
                         + ("equal" if ok else "different")))
     verdict = "EQUAL" if result.equal else "UNEQUAL"
     lines.append(f"verdict: {verdict}")

@@ -52,7 +52,10 @@ def _tokenize(text: str):
                     k += 1
                 if k == j + 1:
                     raise ElementSyntaxError(j, "expected digits after '/'")
-                tokens.append(("num", Fraction(int(text[i:j]), int(text[j + 1:k])), i,
+                denominator = int(text[j + 1:k])
+                if denominator == 0:
+                    raise ElementSyntaxError(j, "division by zero")
+                tokens.append(("num", Fraction(int(text[i:j]), denominator), i,
                                text[i:k]))
                 i = k
             else:

@@ -56,6 +56,13 @@ class BlockProfile:
         raise KeyError((level, vertex))
 
 
+def _block_labels(q: OrderedQuiver, n: int) -> list:
+    """(level, vertex) labels of the stage-n blocks, sorted by level and
+    vertex position: every level for a sink, level n for a non-sink."""
+    return [(m, w) for m in range(n + 1) for j, w in enumerate(q.vertices)
+            if j < q.v_prime or m == n]
+
+
 def block_profile(q: OrderedQuiver, n: int) -> BlockProfile:
     """Matrix-algebra block labels and sizes of stage n.
 
@@ -69,37 +76,25 @@ def block_profile(q: OrderedQuiver, n: int) -> BlockProfile:
     require_no_sources(q)
     if n < 0:
         raise ValueError("filtration level must be nonnegative")
-    sizes = {}
-    for m in range(n + 1):
-        counts = path_count_matrix(q, m)
-        for j, w in enumerate(q.vertices):
-            sizes[(m, w)] = sum(counts[i, j] for i in range(q.v))
-    blocks = []
-    for m in range(n + 1):
-        for j, w in enumerate(q.vertices):
-            is_sink = j < q.v_prime
-            if (is_sink and m <= n) or (not is_sink and m == n):
-                blocks.append(Block(level=m, vertex=w, size=sizes[(m, w)]))
-    blocks.sort(key=lambda b: (b.level, q.index(b.vertex)))
-    return BlockProfile(level=n, blocks=tuple(blocks))
+    # sizes[m][j] = number of length-m paths into vertex j (column sums)
+    sizes = [[sum(col) for col in zip(*path_count_matrix(q, m).tolists())]
+             for m in range(n + 1)]
+    blocks = tuple(Block(level=m, vertex=w, size=sizes[m][q.index(w)])
+                   for m, w in _block_labels(q, n))
+    return BlockProfile(level=n, blocks=blocks)
 
 
 def _spanning_monomials(alg: LeavittAlgebra, q: OrderedQuiver, n: int,
                         limit: int):
     by_target = _paths_by_target(alg, n, limit)
     monomials = []
-    for m in range(n + 1):
-        for j, w in enumerate(q.vertices):
-            is_sink = j < q.v_prime
-            if not ((is_sink and m <= n) or (not is_sink and m == n)):
-                continue
-            paths = by_target[m].get(w, ())
-            if len(monomials) + len(paths) ** 2 > limit:
-                raise SizeLimitError(
-                    f"spanning set would exceed {limit} monomials")
-            for left in paths:
-                for right in paths:
-                    monomials.append(Monomial(left, right))
+    for m, w in _block_labels(q, n):
+        paths = by_target[m].get(w, ())
+        if len(monomials) + len(paths) ** 2 > limit:
+            raise SizeLimitError(f"spanning set would exceed {limit} monomials")
+        for left in paths:
+            for right in paths:
+                monomials.append(Monomial(left, right))
     return monomials
 
 
@@ -242,13 +237,8 @@ def expected_phi_matrix(q: OrderedQuiver, n: int) -> IntMatrix:
     """The combinatorial block form: zero rows on the fresh sink level,
     identity shifted one level up."""
     q = as_ordered(q)
-    v, vp = q.v, q.v_prime
-    src_count = (n + 1) * vp + (v - vp)
-    dst_count = (n + 2) * vp + (v - vp)
-    rows = [[0] * src_count for _ in range(dst_count)]
-    for i in range(src_count):
-        rows[vp + i][i] = 1
-    return IntMatrix(rows)
+    src_count = (n + 1) * q.v_prime + (q.v - q.v_prime)
+    return IntMatrix.identity_below_zero(src_count + q.v_prime, src_count)
 
 
 def stabilized_block_difference(q: OrderedQuiver, n: int,

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .matrices import IntMatrix, smith_normal_form
+from .matrices import IntMatrix, SmithDecomposition, smith_normal_form
 
 
 def factorize(n: int) -> tuple:
@@ -169,50 +169,60 @@ class FinAbGroup:
         return " (+) ".join(parts) if parts else "0"
 
 
-def group_direct_sum(a: FinAbGroup, b: FinAbGroup) -> FinAbGroup:
-    return a.direct_sum(b)
-
-
 TRIVIAL = FinAbGroup.trivial()
 
 
+def kernel_cokernel(dec: SmithDecomposition, modulus: Modulus | None = None):
+    """(kernel, cokernel) of the decomposed matrix, read off its one
+    Smith form: as a map Z^cols -> Z^rows when modulus is None, else as
+    the induced map (Z/m)^cols -> (Z/m)^rows.
+
+    Over Z the kernel is free of rank cols - rank and each invariant
+    factor d adds Z/d to the cokernel.  Over Z/m the diagonal reduces
+    the question to multiplication maps on cyclic groups: each d adds
+    Z/gcd(d, m) to both sides, and each unused row (column) a full Z/m
+    summand to the cokernel (kernel).
+
+    >>> dec = smith_normal_form(IntMatrix([[2, 0], [0, 0]]))
+    >>> [str(g) for g in kernel_cokernel(dec)]
+    ['Z', 'Z (+) Z/2']
+    >>> [str(g) for g in kernel_cokernel(dec, Modulus.of(4))]
+    ['Z/2 (+) Z/4', 'Z/2 (+) Z/4']
+    """
+    rows, cols = dec.matrix.rows, dec.matrix.cols
+    ds = list(dec.invariant_factors)
+    if modulus is None:
+        return (FinAbGroup.free(cols - len(ds)),
+                FinAbGroup.from_cyclic_orders([0] * (rows - len(ds)) + ds))
+    m = modulus.m
+    orders = [gcd(d, m) for d in ds]
+    return (FinAbGroup.from_cyclic_orders(orders + [m] * (cols - len(ds))),
+            FinAbGroup.from_cyclic_orders(orders + [m] * (rows - len(ds))))
+
+
 def cokernel_int(matrix: IntMatrix) -> FinAbGroup:
-    """Z^rows / image(matrix), via the invariant factors.
+    """Z^rows / image(matrix).
 
     >>> print(cokernel_int(IntMatrix([[2, 0], [0, 3]])))
     Z/6
     """
-    dec = smith_normal_form(matrix)
-    orders = [0] * (matrix.rows - dec.rank) + list(dec.invariant_factors)
-    return FinAbGroup.from_cyclic_orders(orders)
+    return kernel_cokernel(smith_normal_form(matrix))[1]
 
 
 def kernel_rank_int(matrix: IntMatrix) -> int:
-    """Rank of the (free) kernel of the map Z^cols -> Z^rows."""
+    """Rank of the (free) kernel of the map Z^cols -> Z^rows; builds no
+    cokernel, so no invariant factor is ever factorized."""
     return matrix.cols - smith_normal_form(matrix).rank
 
 
 def cokernel_mod(matrix: IntMatrix, modulus: Modulus) -> FinAbGroup:
-    """Cokernel of the induced map (Z/m)^cols -> (Z/m)^rows.
-
-    Diagonalizing over Z reduces the question to multiplication maps on
-    cyclic groups: each invariant factor d contributes Z/gcd(d, m), and
-    rows not hit at all contribute full Z/m summands.
-    """
-    dec = smith_normal_form(matrix)
-    m = modulus.m
-    orders = [gcd(d, m) for d in dec.invariant_factors]
-    orders += [m] * (matrix.rows - dec.rank)
-    return FinAbGroup.from_cyclic_orders(orders)
+    """Cokernel of the induced map (Z/m)^cols -> (Z/m)^rows."""
+    return kernel_cokernel(smith_normal_form(matrix), modulus)[1]
 
 
 def kernel_mod(matrix: IntMatrix, modulus: Modulus) -> FinAbGroup:
     """Kernel of the induced map (Z/m)^cols -> (Z/m)^rows."""
-    dec = smith_normal_form(matrix)
-    m = modulus.m
-    orders = [gcd(d, m) for d in dec.invariant_factors]
-    orders += [m] * (matrix.cols - dec.rank)
-    return FinAbGroup.from_cyclic_orders(orders)
+    return kernel_cokernel(smith_normal_form(matrix), modulus)[0]
 
 
 class SizeLimitError(ValueError):
@@ -299,7 +309,7 @@ __all__ = [
     "cokernel_int",
     "cokernel_mod",
     "factorize",
-    "group_direct_sum",
+    "kernel_cokernel",
     "kernel_mod",
     "kernel_rank_int",
 ]

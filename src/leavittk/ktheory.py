@@ -16,9 +16,8 @@ import warnings
 from dataclasses import dataclass
 from math import gcd
 
-from .groups import (FinAbGroup, Modulus, cokernel_int, cokernel_mod,
-                     factorize, kernel_mod, kernel_rank_int)
-from .matrices import IntMatrix
+from .groups import FinAbGroup, Modulus, factorize, kernel_cokernel
+from .matrices import IntMatrix, SmithDecomposition, smith_normal_form
 from .quiver import OrderedQuiver, Quiver, as_ordered, order_sinks_first, \
     reduced_incidence, require_no_sources
 
@@ -43,11 +42,8 @@ def leavitt_matrix(q: OrderedQuiver) -> IntMatrix:
     """
     q = as_ordered(q)
     require_no_sources(q)
-    v, vp = q.v, q.v_prime
-    it = reduced_incidence(q).transpose()
-    block = [[0] * (v - vp) for _ in range(vp)]
-    block += [[1 if i == j else 0 for j in range(v - vp)] for i in range(v - vp)]
-    return IntMatrix(block) - it
+    return IntMatrix.identity_below_zero(q.v, q.v - q.v_prime) \
+        - reduced_incidence(q).transpose()
 
 
 @dataclass(frozen=True)
@@ -58,23 +54,49 @@ class KEntry:
 
 @dataclass(frozen=True)
 class KGroupTable:
+    """Mod-m K-groups over the degrees window[0]..window[1]: zero in
+    negative degrees, `even` (the cokernel) in even nonnegative ones and
+    `odd` (the kernel) in odd ones.  Lookups outside the window raise
+    KeyError."""
+
     modulus: Modulus
-    entries: tuple  # ((degree, KEntry), ...) ascending
+    even: FinAbGroup
+    odd: FinAbGroup
+    window: tuple  # (n_min, n_max)
+
+    def _entry(self, n: int) -> KEntry:
+        if not self.window[0] <= n <= self.window[1]:
+            raise KeyError(n)
+        if n < 0:
+            return KEntry(FinAbGroup.trivial(), ZERO_NEGATIVE)
+        if n % 2 == 0:
+            return KEntry(self.even, COKERNEL)
+        return KEntry(self.odd, KERNEL)
+
+    @property
+    def entries(self) -> tuple:
+        """((degree, KEntry), ...) in ascending degree."""
+        return tuple((n, self._entry(n)) for n in self.degrees())
 
     def degrees(self) -> tuple:
-        return tuple(n for n, _ in self.entries)
+        return tuple(range(self.window[0], self.window[1] + 1))
 
     def group_at(self, n: int) -> FinAbGroup:
-        for deg, entry in self.entries:
-            if deg == n:
-                return entry.group
-        raise KeyError(n)
+        return self._entry(n).group
 
     def provenance_at(self, n: int) -> str:
-        for deg, entry in self.entries:
-            if deg == n:
-                return entry.provenance
-        raise KeyError(n)
+        return self._entry(n).provenance
+
+
+def _table(dec: SmithDecomposition, modulus: Modulus, n_min: int,
+           n_max: int) -> KGroupTable:
+    if not modulus.is_prime_power:
+        warnings.warn(
+            f"modulus {modulus.m} is not a prime power; "
+            "table is a formal extension by CRT", stacklevel=3)
+    kernel, cokernel = kernel_cokernel(dec, modulus)
+    return KGroupTable(modulus=modulus, even=cokernel, odd=kernel,
+                       window=(n_min, n_max))
 
 
 def mod_l_ktheory(q: OrderedQuiver, modulus: Modulus,
@@ -83,30 +105,14 @@ def mod_l_ktheory(q: OrderedQuiver, modulus: Modulus,
     """Degree-indexed table of mod-m K-groups of the path algebra.
 
     Even nonnegative degrees read off the cokernel, odd ones the
-    kernel, negative degrees vanish.  Composite moduli are accepted but
-    flagged: the cyclic coefficient input is only established for prime
-    powers, so composite tables are formal CRT extensions.
+    kernel, negative degrees vanish; both come from one Smith form.
+    Composite moduli are accepted but flagged: the cyclic coefficient
+    input is only established for prime powers, so composite tables are
+    formal CRT extensions.
     """
     if n_min > n_max:
         raise ValueError("empty degree window")
-    q = as_ordered(q)
-    require_no_sources(q)
-    if not modulus.is_prime_power:
-        warnings.warn(
-            f"modulus {modulus.m} is not a prime power; "
-            "table is a formal extension by CRT", stacklevel=2)
-    matrix = leavitt_matrix(q)
-    even = cokernel_mod(matrix, modulus)
-    odd = kernel_mod(matrix, modulus)
-    entries = []
-    for n in range(n_min, n_max + 1):
-        if n < 0:
-            entries.append((n, KEntry(FinAbGroup.trivial(), ZERO_NEGATIVE)))
-        elif n % 2 == 0:
-            entries.append((n, KEntry(even, COKERNEL)))
-        else:
-            entries.append((n, KEntry(odd, KERNEL)))
-    return KGroupTable(modulus=modulus, entries=tuple(entries))
+    return _table(smith_normal_form(leavitt_matrix(q)), modulus, n_min, n_max)
 
 
 # -- corner-skew long exact sequence ------------------------------------
@@ -145,11 +151,8 @@ class DegreeData:
         return FinAbGroup.from_cyclic_orders([self.modulus.m] * self.rank)
 
     def map_matrix(self) -> IntMatrix:
-        cod = self.codomain_rank if self.codomain_rank is not None else self.rank
-        rows = [[0] * self.rank for _ in range(cod - self.rank)]
-        rows += [[1 if i == j else 0 for j in range(self.rank)]
-                 for i in range(self.rank)]
-        return IntMatrix(rows) - self.phi
+        return IntMatrix.identity_below_zero(self.phi.rows, self.rank) \
+            - self.phi
 
 
 @dataclass(frozen=True)
@@ -187,20 +190,6 @@ class LesEntry:
     resolved: FinAbGroup | None
 
 
-def _sub_of(data: DegreeData) -> FinAbGroup:
-    m = data.map_matrix()
-    if data.modulus is None:
-        return cokernel_int(m)
-    return cokernel_mod(m, data.modulus)
-
-
-def _quotient_of(data: DegreeData) -> FinAbGroup:
-    m = data.map_matrix()
-    if data.modulus is None:
-        return FinAbGroup.free(kernel_rank_int(m))
-    return kernel_mod(m, data.modulus)
-
-
 def _resolve_extension(sub: FinAbGroup, quotient: FinAbGroup) -> FinAbGroup | None:
     if sub.is_trivial:
         return quotient
@@ -216,12 +205,21 @@ def corner_les(theory: CoefficientTheory, n_min: int, n_max: int) -> list:
     """Resolve the long exact sequence of the corner-skew triangle.
 
     Ambiguous extensions are reported with `resolved` unset rather than
-    guessed; only order-forced cases are filled in.
+    guessed; only order-forced cases are filled in.  Each distinct
+    DegreeData is reduced once.
     """
+    read: dict = {}  # DegreeData -> (kernel, cokernel)
+
+    def kernel_cokernel_of(data: DegreeData) -> tuple:
+        if data not in read:
+            read[data] = kernel_cokernel(smith_normal_form(data.map_matrix()),
+                                         data.modulus)
+        return read[data]
+
     out = []
     for n in range(n_min, n_max + 1):
-        sub = _sub_of(theory.data_at(n))
-        quotient = _quotient_of(theory.data_at(n - 1))
+        sub = kernel_cokernel_of(theory.data_at(n))[1]
+        quotient = kernel_cokernel_of(theory.data_at(n - 1))[0]
         out.append(LesEntry(degree=n, sub=sub, quotient=quotient,
                             resolved=_resolve_extension(sub, quotient)))
     return out
@@ -285,19 +283,20 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
     one of each adjacent integral pair to be nonzero in that parity.
     """
     q = as_ordered(q)
-    require_no_sources(q)
+    matrix = leavitt_matrix(q)
+    dec = smith_normal_form(matrix)
     sink_free = q.v_prime == 0
     det = None
     det_primes = None
     if sink_free:
-        det = leavitt_matrix(q).determinant()
+        det = matrix.determinant()
         if det != 0:
             det_primes = tuple(p for p, _ in factorize(abs(det))) if abs(det) > 1 \
                 else ()
     entries = []
     for l, nu in primes:
         modulus = Modulus.of(l ** nu)
-        table = mod_l_ktheory(q, modulus, 0, 2)
+        table = _table(dec, modulus, 0, 2)
         nonzero_parities = []
         for n in (0, 1):
             if not table.group_at(n).is_trivial:

@@ -38,6 +38,18 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
+    @classmethod
+    def identity_below_zero(cls, rows: int, cols: int) -> "IntMatrix":
+        """A zero block of rows - cols rows stacked on the cols x cols
+        identity (rows >= cols).
+
+        >>> IntMatrix.identity_below_zero(3, 2).tolists()
+        [[0, 0], [1, 0], [0, 1]]
+        """
+        shift = rows - cols
+        return cls([[1 if i == j + shift else 0 for j in range(cols)]
+                    for i in range(rows)])
+
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self._data[i][j]

@@ -14,7 +14,7 @@ from helpers import (ENGINE_QUIVERS, jacobson_quiver, random_no_source_quiver,
 from leavittk.cli import main as cli_main
 from leavittk.cli import parse_records
 from leavittk.quiver import render_quiver
-from leavittk.algebra import (LeavittAlgebra, Monomial, grading_components,
+from leavittk.algebra import (LeavittAlgebra, Monomial,
                               random_degree_zero_element, verify_corner_axioms)
 from leavittk.filtration import (block_profile, expected_inclusion_matrix,
                                  expected_phi_matrix, filtration_span_dim,
@@ -200,8 +200,8 @@ def test_criterion_7_rewriting_property_suite():
                     + alg.arrow(rng.choice(names))
                 b = random_degree_zero_element(alg, rng) \
                     + alg.arrow(rng.choice(names)).star()
-                pa, pb = grading_components(a), grading_components(b)
-                parts = grading_components(a * b)
+                pa, pb = a.degree_components(), b.degree_components()
+                parts = (a * b).degree_components()
                 for d in {x + y for x in pa for y in pb} | set(parts):
                     acc = alg.zero()
                     for d1, ca in pa.items():

@@ -104,6 +104,20 @@ class TestExitCodes:
         assert out == ""
         assert "position" in err
 
+    def test_division_by_zero_exit_one(self):
+        code, out, err = run_cli(["algebra", quiver_path("rose2.q"),
+                                  "--eval", "1/0"])
+        assert code == 1
+        assert out == ""
+        assert "position 1: division by zero" in err
+
+    def test_work_bound_exit_four(self):
+        code, out, err = run_cli(["filtration", quiver_path("rose3.q"),
+                                  "--level", "9"])
+        assert code == 4
+        assert out == ""
+        assert "work bound exceeded" in err
+
 
 class TestAnalyze:
     def test_rose3_divisible(self):

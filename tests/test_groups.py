@@ -2,14 +2,14 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leavittk.groups import (FinAbGroup, Modulus, SizeLimitError,
                              brute_force_mod_oracle, cokernel_int,
-                             cokernel_mod, factorize, group_direct_sum,
+                             cokernel_mod, factorize, kernel_cokernel,
                              kernel_mod, kernel_rank_int)
-from leavittk.matrices import IntMatrix
+from leavittk.matrices import IntMatrix, smith_normal_form
 
 
 def G(*orders):
@@ -51,9 +51,9 @@ class TestFinAbGroup:
         assert str(G(0, 5)) == "Z (+) Z/5"
 
     def test_direct_sum_fixtures(self):
-        assert group_direct_sum(G(2), G(3)) == G(6)
-        assert group_direct_sum(G(2), G(4)).torsion == (2, 4)
-        sum_ = group_direct_sum(G(0), G(5))
+        assert G(2).direct_sum(G(3)) == G(6)
+        assert G(2).direct_sum(G(4)).torsion == (2, 4)
+        sum_ = G(0).direct_sum(G(5))
         assert sum_.free_rank == 1 and sum_.torsion == (5,)
 
     def test_direct_sum_monoid_laws(self):
@@ -61,10 +61,10 @@ class TestFinAbGroup:
         pool = [G(), G(2), G(4), G(6), G(0, 2), G(3, 9), G(0, 0)]
         for _ in range(100):
             a, b, c = (rng.choice(pool) for _ in range(3))
-            assert group_direct_sum(a, b) == group_direct_sum(b, a)
-            assert group_direct_sum(group_direct_sum(a, b), c) \
-                == group_direct_sum(a, group_direct_sum(b, c))
-            assert group_direct_sum(a, G()) == a
+            assert a.direct_sum(b) == b.direct_sum(a)
+            assert a.direct_sum(b).direct_sum(c) \
+                == a.direct_sum(b.direct_sum(c))
+            assert a.direct_sum(G()) == a
 
     def test_tensor_and_torsion(self):
         assert G(0).tensor_with_cyclic(4) == G(4)
@@ -166,10 +166,16 @@ def small_matrices(draw):
     return IntMatrix(entries)
 
 
+# IntMatrix has no 0 x k shape for k > 0: with no rows it is 0 x 0.
 @settings(max_examples=120, deadline=None)
 @given(small_matrices(), st.sampled_from([2, 3, 4, 5, 8, 9, 16]))
+@example(IntMatrix([]), 4)
+@example(IntMatrix([[]]), 9)
+@example(IntMatrix([[], [], []]), 16)
 def test_mod_kernels_match_oracle(m, mod_value):
     mod = Modulus.of(mod_value)
     oracle_kernel, oracle_cokernel = brute_force_mod_oracle(m, mod)
     assert kernel_mod(m, mod) == oracle_kernel
     assert cokernel_mod(m, mod) == oracle_cokernel
+    assert kernel_cokernel(smith_normal_form(m), mod) \
+        == (oracle_kernel, oracle_cokernel)

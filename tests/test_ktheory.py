@@ -4,8 +4,9 @@ import pytest
 
 from helpers import jacobson_quiver, random_no_source_quiver, rose, \
     toeplitz_quiver
+from leavittk import ktheory
 from leavittk.groups import (FinAbGroup, Modulus, brute_force_mod_oracle)
-from leavittk.matrices import IntMatrix
+from leavittk.matrices import IntMatrix, smith_normal_form
 from leavittk.ktheory import (COKERNEL, CoefficientTheory, DegreeData, KERNEL,
                               ZERO_NEGATIVE, corner_les, divisibility_report,
                               leavitt_matrix, les_table_for_quiver,
@@ -70,6 +71,15 @@ class TestModLTables:
         assert table.provenance_at(0) == COKERNEL
         assert table.provenance_at(1) == KERNEL
         assert table.provenance_at(2) == COKERNEL
+
+    def test_lookups_outside_window_raise(self):
+        table = mod_l_ktheory(rose(1), Modulus.of(3), -1, 2)
+        assert table.degrees() == (-1, 0, 1, 2)
+        for n in (-2, 3):
+            with pytest.raises(KeyError):
+                table.group_at(n)
+            with pytest.raises(KeyError):
+                table.provenance_at(n)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -289,3 +299,42 @@ class TestDivisibilityReport:
         assert entry.conclusions == (
             "for every even n >= 0, at least one of IK_n(L_Q), "
             "IK_{n-1}(L_Q) is nonzero",)
+
+
+class TestOneReductionPerMatrix:
+    @pytest.fixture
+    def snf_calls(self, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix)
+            return smith_normal_form(matrix)
+
+        monkeypatch.setattr(ktheory, "smith_normal_form", counting)
+        return calls
+
+    def test_table(self, snf_calls):
+        q = jacobson_quiver(2)
+        mod_l_ktheory(q, Modulus.of(8))
+        assert snf_calls == [leavitt_matrix(q)]
+
+    def test_divisibility_report_three_primes(self, snf_calls):
+        q = rose(3)
+        divisibility_report(q, [(2, 1), (3, 1), (5, 2)])
+        assert snf_calls == [leavitt_matrix(q)]
+
+    def test_les_once_per_distinct_degree_data(self, snf_calls):
+        for q in (toeplitz_quiver(), jacobson_quiver(1), rose(3)):
+            snf_calls.clear()
+            les_table_for_quiver(q, Modulus.of(4))
+            # one zero presentation for the odd and negative degrees, one
+            # stabilized map for the even ones
+            assert len(snf_calls) == 2
+            assert leavitt_matrix(q) in snf_calls
+
+    def test_corner_les_integral_data(self, snf_calls):
+        data = DegreeData(rank=1, phi=IntMatrix([[3]]))
+        theory = CoefficientTheory(degrees=((0, data),), period=1)
+        entries = corner_les(theory, 0, 5)
+        assert len(snf_calls) == 1
+        assert all(e.sub == G(2) and e.quotient.is_trivial for e in entries)
