@@ -11,7 +11,8 @@ from .filtration import (Block, BlockProfile, block_profile,
                          phi_k0_matrix, stabilized_block_difference)
 from .groups import (FinAbGroup, Modulus, SizeLimitError,
                      brute_force_mod_oracle, cokernel_int, cokernel_mod,
-                     factorize, kernel_cokernel, kernel_mod, kernel_rank_int)
+                     factorize, kernel_cokernel, kernel_cokernel_mod,
+                     kernel_mod, kernel_rank_int, local_smith_exponents)
 from .ktheory import (CoefficientTheory, DegreeData, DivisibilityReport,
                       KEntry, KGroupTable, LesEntry, SplitCheckResult,
                       corner_les, divisibility_report, leavitt_matrix,

@@ -4,6 +4,9 @@ and kernels/cokernels of integer matrices over Z and over Z/m.
 Every group is stored in its canonical shape (free rank plus a
 divisibility chain of torsion orders), so equality of groups is plain
 equality of normal forms; no isomorphism search happens anywhere.
+Over Z/m the groups come from one elimination over Z/p^e per prime
+power of m, whose entries stay below p^e; the certified Smith form over
+Z is the integral route and the reference the local one is tested on.
 """
 
 from __future__ import annotations
@@ -15,23 +18,62 @@ from math import gcd, prod
 from .matrices import IntMatrix, SmithDecomposition, smith_normal_form
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality
+# correctly for every n below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _proven_prime(n: int) -> bool:
+    """True only if n is prime; False for composites and for any n at or
+    above the bound where the fixed bases are proven."""
+    if n < 2 or n >= _MR_BOUND:
+        return False
+    if n in _MR_BASES:
+        return True
+    if any(n % b == 0 for b in _MR_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factorize(n: int) -> tuple:
     """Prime factorization ((p, e), ...) with strictly increasing primes.
 
+    Trial division, which stops as soon as the cofactor left is proven
+    prime by deterministic Miller-Rabin (below 3.3e24 only).
+
     >>> factorize(360)
     ((2, 3), (3, 2), (5, 1))
+    >>> factorize(2 * (10 ** 18 + 3))
+    ((2, 1), (1000000000000000003, 1))
     """
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     out = []
     p = 2
-    while p * p <= n:
+    prime = _proven_prime(n)
+    while not prime and p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             out.append((p, e))
+            prime = _proven_prime(n)
         p += 1 if p == 2 else 2
     if n > 1:
         out.append((n, 1))
@@ -101,30 +143,42 @@ class FinAbGroup:
     def from_cyclic_orders(cls, orders) -> "FinAbGroup":
         """Normal form of a direct sum of cyclic groups.
 
-        Order 0 stands for Z and order 1 for the trivial summand.  The
-        torsion is recombined via per-prime exponent alignment, so
-        coprime factors merge and the divisibility chain always holds.
+        Order 0 stands for Z and order 1 for the trivial summand.  Each
+        order is factorized into its primary parts, so coprime factors
+        merge and the divisibility chain always holds.
         """
         rank = 0
-        by_prime: dict = {}
+        parts: dict = {}
         for d in orders:
             d = abs(int(d))
             if d == 0:
                 rank += 1
             elif d > 1:
                 for p, e in factorize(d):
-                    by_prime.setdefault(p, []).append(e)
-        depth = max((len(es) for es in by_prime.values()), default=0)
+                    parts.setdefault(p, []).append(e)
+        return cls.from_primary_parts(rank, parts)
+
+    @classmethod
+    def from_primary_parts(cls, free_rank: int, parts: dict) -> "FinAbGroup":
+        """Z^free_rank plus, for each prime p in `parts`, one Z/p^e per
+        exponent e in parts[p] (exponent 0 adds nothing).  The i-th
+        largest invariant factor multiplies the i-th largest p-power of
+        every prime, so nothing is factorized.
+
+        >>> print(FinAbGroup.from_primary_parts(0, {2: [1, 3], 3: [0, 2]}))
+        Z/2 (+) Z/72
+        """
+        chains = [[p ** e for e in sorted(es, reverse=True) if e > 0]
+                  for p, es in parts.items()]
         chain = []
-        for i in range(depth):
+        for i in range(max(map(len, chains), default=0)):
             f = 1
-            for p, es in by_prime.items():
-                es_sorted = sorted(es, reverse=True)
-                if i < len(es_sorted):
-                    f *= p ** es_sorted[i]
+            for c in chains:
+                if i < len(c):
+                    f *= c[i]
             chain.append(f)
         chain.reverse()
-        return cls(rank, tuple(chain))
+        return cls(free_rank, tuple(chain))
 
     @property
     def is_trivial(self) -> bool:
@@ -215,14 +269,106 @@ def kernel_rank_int(matrix: IntMatrix) -> int:
     return matrix.cols - smith_normal_form(matrix).rank
 
 
+def local_smith_exponents(matrix: IntMatrix, p: int, e: int) -> tuple:
+    """Exponents k < e of the nonzero diagonal entries p^k of the Smith
+    form of `matrix` over the local ring Z/p^e (p prime), ascending.
+
+    Gaussian elimination on sparse rows (column -> entry in [0, p^e)),
+    keeping no transforms.  Each step pivots on an entry of least
+    p-valuation k, which divides every remaining entry, preferring the
+    shortest row to limit fill-in.  Clearing the pivot column by row
+    operations leaves a pivot row that column operations clear without
+    touching any other row, so the row is simply dropped.
+
+    >>> local_smith_exponents(IntMatrix([[2, 0], [0, 12]]), 2, 3)
+    (1, 2)
+    >>> local_smith_exponents(IntMatrix([[2, 0], [0, 12]]), 3, 1)
+    (0,)
+    """
+    q = p ** e
+    rows = []
+    for i in range(matrix.rows):
+        row = {j: y for j, x in enumerate(matrix.row(i)) if x and (y := x % q)}
+        if row:
+            rows.append(row)
+    exponents = []
+    k, pk = 0, 1
+    settled = set()  # ids of rows known to hold no entry of valuation k
+    while rows:
+        pk1 = pk * p
+        pivot_row = col = None
+        for row in rows:
+            if pivot_row is not None and len(row) >= len(pivot_row) \
+                    or id(row) in settled:
+                continue
+            for j, x in row.items():
+                if x % pk1:
+                    pivot_row, col = row, j
+                    break
+            else:
+                settled.add(id(row))
+        if pivot_row is None:
+            k, pk = k + 1, pk1
+            settled.clear()
+            continue
+        exponents.append(k)
+        inverse = pow(pivot_row.pop(col) // pk, -1, q)
+        kept = []
+        for row in rows:
+            if row is pivot_row:
+                continue
+            b = row.pop(col, None)
+            if b is not None:
+                c = b // pk * inverse % q
+                for j, x in pivot_row.items():
+                    y = (row.get(j, 0) - c * x) % q
+                    if y:
+                        row[j] = y
+                    else:
+                        row.pop(j, None)
+                settled.discard(id(row))
+                if not row:
+                    continue
+            kept.append(row)
+        rows = kept
+    return tuple(exponents)
+
+
+def kernel_cokernel_mod(matrix: IntMatrix, modulus: Modulus,
+                        exponents: dict | None = None):
+    """(kernel, cokernel) of the induced map (Z/m)^cols -> (Z/m)^rows,
+    assembled from one local elimination per prime power p^e of m.
+
+    Each pivot exponent k adds Z/p^k to both groups, and each unused
+    column (row) a full Z/p^e to the kernel (cokernel).  `exponents`
+    may map a prime p of m to local_smith_exponents(matrix, p, E) for
+    any E >= e, already computed; a pivot with k >= e vanishes mod p^e
+    and counts as Z/p^e.
+
+    >>> [str(g) for g in kernel_cokernel_mod(IntMatrix([[2, 0]]),
+    ...                                      Modulus.of(12))]
+    ['Z/2 (+) Z/12', 'Z/2']
+    """
+    exponents = exponents or {}
+    kernel_parts, cokernel_parts = {}, {}
+    for p, e in modulus.factorization:
+        ks = exponents[p] if p in exponents \
+            else local_smith_exponents(matrix, p, e)
+        pivots = [min(k, e) for k in ks]
+        kernel_parts[p] = pivots + [e] * (matrix.cols - len(ks))
+        cokernel_parts[p] = pivots + [e] * (matrix.rows - len(ks))
+    return (FinAbGroup.from_primary_parts(0, kernel_parts),
+            FinAbGroup.from_primary_parts(0, cokernel_parts))
+
+
 def cokernel_mod(matrix: IntMatrix, modulus: Modulus) -> FinAbGroup:
     """Cokernel of the induced map (Z/m)^cols -> (Z/m)^rows."""
-    return kernel_cokernel(smith_normal_form(matrix), modulus)[1]
+    return kernel_cokernel_mod(matrix, modulus)[1]
 
 
 def kernel_mod(matrix: IntMatrix, modulus: Modulus) -> FinAbGroup:
     """Kernel of the induced map (Z/m)^cols -> (Z/m)^rows."""
-    return kernel_cokernel(smith_normal_form(matrix), modulus)[0]
+    return kernel_cokernel_mod(matrix, modulus)[0]
 
 
 class SizeLimitError(ValueError):
@@ -235,8 +381,9 @@ _ORACLE_BOUND = 10 ** 6
 def brute_force_mod_oracle(matrix: IntMatrix, modulus: Modulus):
     """Kernel and cokernel of the map (Z/m)^cols -> (Z/m)^rows by
     exhaustive enumeration, classifying each group from its element
-    profile.  Completely independent of the Smith-form route; exists to
-    certify it on small instances.
+    profile.  Independent of both elimination routes (the Smith form
+    over Z and the local elimination over Z/p^e); exists to certify
+    them on small instances.
 
     Requires m**cols <= 1e6 and m**rows <= 1e6.
     """
@@ -310,6 +457,8 @@ __all__ = [
     "cokernel_mod",
     "factorize",
     "kernel_cokernel",
+    "kernel_cokernel_mod",
     "kernel_mod",
     "kernel_rank_int",
+    "local_smith_exponents",
 ]

@@ -16,8 +16,9 @@ import warnings
 from dataclasses import dataclass
 from math import gcd
 
-from .groups import FinAbGroup, Modulus, factorize, kernel_cokernel
-from .matrices import IntMatrix, SmithDecomposition, smith_normal_form
+from .groups import FinAbGroup, Modulus, factorize, kernel_cokernel, \
+    kernel_cokernel_mod, local_smith_exponents
+from .matrices import IntMatrix, smith_normal_form
 from .quiver import OrderedQuiver, Quiver, as_ordered, order_sinks_first, \
     reduced_incidence, require_no_sources
 
@@ -32,7 +33,9 @@ def leavitt_matrix(q: OrderedQuiver) -> IntMatrix:
     """Zero-over-identity block minus the transposed reduced incidence.
 
     Shape v x (v - v'); the first v' rows (the sinks) carry no identity
-    contribution.
+    contribution.  Built in one pass over the arrows: column j belongs
+    to the non-sink vertex v' + j, and each arrow subtracts 1 in the row
+    of its target.
 
     >>> from .quiver import parse_quiver
     >>> jac = order_sinks_first(parse_quiver(
@@ -42,8 +45,19 @@ def leavitt_matrix(q: OrderedQuiver) -> IntMatrix:
     """
     q = as_ordered(q)
     require_no_sources(q)
-    return IntMatrix.identity_below_zero(q.v, q.v - q.v_prime) \
-        - reduced_incidence(q).transpose()
+    sinks = q.num_sinks
+    index = {v: i for i, v in enumerate(q.vertices)}
+    rows = [[0] * (q.v - sinks) for _ in range(q.v)]
+    for j in range(q.v - sinks):
+        rows[sinks + j][j] = 1
+    for a in q.arrows:
+        j = index[a.source] - sinks
+        if j < 0:
+            raise AssertionError(
+                f"sink row {j + sinks} is nonzero; vertex ordering is "
+                "inconsistent")
+        rows[index[a.target]][j] -= 1
+    return IntMatrix(rows)
 
 
 @dataclass(frozen=True)
@@ -88,13 +102,13 @@ class KGroupTable:
         return self._entry(n).provenance
 
 
-def _table(dec: SmithDecomposition, modulus: Modulus, n_min: int,
-           n_max: int) -> KGroupTable:
+def _table(matrix: IntMatrix, modulus: Modulus, n_min: int, n_max: int,
+           exponents: dict | None = None) -> KGroupTable:
     if not modulus.is_prime_power:
         warnings.warn(
             f"modulus {modulus.m} is not a prime power; "
             "table is a formal extension by CRT", stacklevel=3)
-    kernel, cokernel = kernel_cokernel(dec, modulus)
+    kernel, cokernel = kernel_cokernel_mod(matrix, modulus, exponents)
     return KGroupTable(modulus=modulus, even=cokernel, odd=kernel,
                        window=(n_min, n_max))
 
@@ -105,14 +119,15 @@ def mod_l_ktheory(q: OrderedQuiver, modulus: Modulus,
     """Degree-indexed table of mod-m K-groups of the path algebra.
 
     Even nonnegative degrees read off the cokernel, odd ones the
-    kernel, negative degrees vanish; both come from one Smith form.
+    kernel, negative degrees vanish; both come from one elimination over
+    Z/p^e per prime power of m.
     Composite moduli are accepted but flagged: the cyclic coefficient
     input is only established for prime powers, so composite tables are
     formal CRT extensions.
     """
     if n_min > n_max:
         raise ValueError("empty degree window")
-    return _table(smith_normal_form(leavitt_matrix(q)), modulus, n_min, n_max)
+    return _table(leavitt_matrix(q), modulus, n_min, n_max)
 
 
 # -- corner-skew long exact sequence ------------------------------------
@@ -206,14 +221,18 @@ def corner_les(theory: CoefficientTheory, n_min: int, n_max: int) -> list:
 
     Ambiguous extensions are reported with `resolved` unset rather than
     guessed; only order-forced cases are filled in.  Each distinct
-    DegreeData is reduced once.
+    DegreeData is reduced once: over Z/m by local elimination, over Z
+    by its Smith form.
     """
     read: dict = {}  # DegreeData -> (kernel, cokernel)
 
     def kernel_cokernel_of(data: DegreeData) -> tuple:
         if data not in read:
-            read[data] = kernel_cokernel(smith_normal_form(data.map_matrix()),
-                                         data.modulus)
+            matrix = data.map_matrix()
+            read[data] = (
+                kernel_cokernel(smith_normal_form(matrix))
+                if data.modulus is None
+                else kernel_cokernel_mod(matrix, data.modulus))
         return read[data]
 
     out = []
@@ -281,10 +300,20 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
     degree (the groups only depend on parity), which makes the integral
     K-groups uniquely m-divisible; a nonzero group in some parity forces
     one of each adjacent integral pair to be nonzero in that parity.
+    Each listed l must be prime; the matrix is eliminated once per
+    distinct l, over Z/l^nu for its largest nu, and the tables for the
+    lower powers of l read the same pivots.
     """
     q = as_ordered(q)
+    primes = list(primes)
     matrix = leavitt_matrix(q)
-    dec = smith_normal_form(matrix)
+    top: dict = {}  # prime -> largest requested exponent
+    for l, nu in primes:
+        if factorize(l) != ((l, 1),):
+            raise ValueError(f"{l} is not prime")
+        top[l] = max(nu, top.get(l, 0))
+    exponents = {l: local_smith_exponents(matrix, l, nu)
+                 for l, nu in top.items()}
     sink_free = q.v_prime == 0
     det = None
     det_primes = None
@@ -295,8 +324,8 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
                 else ()
     entries = []
     for l, nu in primes:
-        modulus = Modulus.of(l ** nu)
-        table = _table(dec, modulus, 0, 2)
+        modulus = Modulus(l ** nu, ((l, nu),))
+        table = _table(matrix, modulus, 0, 2, exponents)
         nonzero_parities = []
         for n in (0, 1):
             if not table.group_at(n).is_trivial:

@@ -23,7 +23,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows_of_entries):
-        data = tuple(tuple(int(x) for x in row) for row in rows_of_entries)
+        data = tuple(tuple(map(int, row)) for row in rows_of_entries)
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
         if any(len(row) != self.cols for row in data):
@@ -31,8 +31,21 @@ class IntMatrix:
         self._data = data
 
     @classmethod
+    def _of(cls, data: tuple, cols: int) -> "IntMatrix":
+        """Wrap a checked tuple of int tuples; `cols` keeps the width of
+        a matrix with no rows, which the constructor cannot see."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._data = len(data), cols, data
+        return m
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        """
+        >>> z = IntMatrix.zero(0, 3)
+        >>> (z.rows, z.cols), (z.transpose().rows, z.transpose().cols)
+        ((0, 3), (3, 0))
+        """
+        return cls._of(((0,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -66,17 +79,20 @@ class IntMatrix:
         return [list(row) for row in self._data]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self._data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
+        if not self._data:
+            return IntMatrix.zero(self.cols, 0)
+        return IntMatrix._of(tuple(zip(*self._data)), self.rows)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self._data])
+        return IntMatrix._of(tuple(tuple(-x for x in row)
+                                   for row in self._data), self.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self._data, other._data)])
+        return IntMatrix._of(tuple(tuple(a + b for a, b in zip(r1, r2))
+                                   for r1, r2 in zip(self._data, other._data)),
+                             self.cols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
@@ -85,8 +101,9 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         ot = other.transpose()._data
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                          for row in self._data])
+        return IntMatrix._of(tuple(tuple(sum(a * b for a, b in zip(row, col))
+                                         for col in ot)
+                                   for row in self._data), other.cols)
 
     def __pow__(self, m: int) -> "IntMatrix":
         if self.rows != self.cols:
@@ -116,7 +133,8 @@ class IntMatrix:
         """Reindex rows/cols: new[i][j] = old[row_perm[i]][col_perm[j]]."""
         rp = row_perm if row_perm is not None else range(self.rows)
         cp = col_perm if col_perm is not None else range(self.cols)
-        return IntMatrix([[self._data[i][j] for j in cp] for i in rp])
+        return IntMatrix._of(tuple(tuple(self._data[i][j] for j in cp)
+                                   for i in rp), len(cp))
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -313,8 +331,9 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
             _scale_row(d, i, -1)
             _scale_row(u, i, -1)
 
-    return SmithDecomposition(U=IntMatrix(u), D=IntMatrix(d), V=IntMatrix(v),
-                              matrix=matrix)
+    return SmithDecomposition(U=IntMatrix(u),
+                              D=IntMatrix._of(tuple(map(tuple, d)), cols),
+                              V=IntMatrix(v), matrix=matrix)
 
 
 def _xgcd(a: int, b: int):

@@ -56,3 +56,30 @@ def random_no_source_quiver(rng: random.Random, max_vertices: int = 3,
     while len(arrows) < max_arrows and rng.random() < 0.6:
         add(rng.choice(vertices), rng.choice(vertices))
     return order_sinks_first(Quiver.build(vertices, arrows))
+
+
+def random_ladder_quiver(rng: random.Random, v: int, arrows_per_vertex: int,
+                         sinks: int = 0) -> OrderedQuiver:
+    """v vertices, the first `sinks` of them sinks, every vertex with an
+    incoming arrow and about `arrows_per_vertex` arrows leaving each
+    non-sink, in shuffled declaration order."""
+    vertices = [f"v{i}" for i in range(v)]
+    nonsinks = vertices[sinks:]
+    pairs = [(rng.choice(nonsinks), t) for t in vertices]
+    for s in nonsinks:
+        if all(src != s for src, _ in pairs):
+            pairs.append((s, rng.choice(vertices)))
+    while len(pairs) < arrows_per_vertex * len(nonsinks):
+        pairs.append((rng.choice(nonsinks), rng.choice(vertices)))
+    rng.shuffle(vertices)
+    arrows = [(f"e{i}", s, t) for i, (s, t) in enumerate(pairs)]
+    return order_sinks_first(Quiver.build(vertices, arrows))
+
+
+def dense_quiver(rng: random.Random, v: int, most: int) -> OrderedQuiver:
+    """Sink-free: 1..most parallel arrows for every ordered vertex pair."""
+    vertices = [f"v{i}" for i in range(v)]
+    pairs = [(s, t) for s in vertices for t in vertices
+             for _ in range(rng.randint(1, most))]
+    arrows = [(f"e{i}", s, t) for i, (s, t) in enumerate(pairs)]
+    return order_sinks_first(Quiver.build(vertices, arrows))

@@ -1,5 +1,6 @@
 import io
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from leavittk.cli import main, parse_records
 
 DATA = Path(__file__).parent / "data"
+BIG_PRIME = 10 ** 18 + 3
 
 
 def run_cli(args):
@@ -283,3 +285,26 @@ class TestSourcesAllowedInAlgebra:
         assert "normal form: e(b)" in out
         code, _, err = run_cli(["filtration", str(sourced), "--level", "1"])
         assert code == 2
+
+
+class TestPrimeModulus:
+    """10^18 + 3 is prime; trial division alone ran for minutes on it."""
+
+    def test_kmod_prime_modulus(self):
+        start = time.perf_counter()
+        code, out, err = run_cli(["kmod", quiver_path("rose2.q"),
+                                  "--mod", str(BIG_PRIME)])
+        assert time.perf_counter() - start < 2
+        assert code == 0 and err == ""
+        groups = [l.rsplit(" = ", 1)[1] for l in out.splitlines()
+                  if l.startswith("K_")]
+        assert len(groups) == 10 and set(groups) == {"0"}
+
+    def test_analyze_prime(self):
+        start = time.perf_counter()
+        code, out, err = run_cli(["analyze", quiver_path("rose3.q"),
+                                  "--primes", str(BIG_PRIME)])
+        assert time.perf_counter() - start < 2
+        assert code == 0 and err == ""
+        assert f"[modulus {BIG_PRIME}^1 = {BIG_PRIME}]" in out
+        assert "uniquely" in out

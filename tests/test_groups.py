@@ -6,10 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leavittk.groups import (FinAbGroup, Modulus, SizeLimitError,
-                             brute_force_mod_oracle, cokernel_int,
-                             cokernel_mod, factorize, kernel_cokernel,
-                             kernel_mod, kernel_rank_int)
+                             _proven_prime, brute_force_mod_oracle,
+                             cokernel_int, cokernel_mod, factorize,
+                             kernel_cokernel, kernel_mod, kernel_rank_int)
 from leavittk.matrices import IntMatrix, smith_normal_form
+
+BIG_PRIME = 10 ** 18 + 3
 
 
 def G(*orders):
@@ -86,6 +88,32 @@ class TestModulus:
     def test_factorize(self):
         assert factorize(1) == ()
         assert factorize(360) == ((2, 3), (3, 2), (5, 1))
+
+
+class TestFactorize:
+    def test_stops_at_proven_prime_cofactor(self):
+        assert factorize(BIG_PRIME) == ((BIG_PRIME, 1),)
+        assert factorize(4 * 9 * BIG_PRIME) == ((2, 2), (3, 2), (BIG_PRIME, 1))
+        assert factorize(7919 * BIG_PRIME) == ((7919, 1), (BIG_PRIME, 1))
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_are_factored(self, n):
+        # composites that pass Miller-Rabin for several of the bases
+        factors = factorize(n)
+        assert len(factors) == 3
+        product = 1
+        for p, e in factors:
+            product *= p ** e
+        assert product == n
+
+    def test_no_proof_claimed_at_or_above_bound(self):
+        # strong pseudoprime to bases 2..37, caught by base 41
+        assert not _proven_prime(318665857834031151167461)
+        # strong pseudoprime to every base 2..41: the bound itself
+        assert not _proven_prime(3317044064679887385961981)
+        # a prime above the bound is left to trial division
+        assert not _proven_prime(2 ** 89 - 1)
+        assert _proven_prime(BIG_PRIME) and _proven_prime(2 ** 61 - 1)
 
 
 class TestIntegralKernels:
@@ -166,10 +194,10 @@ def small_matrices(draw):
     return IntMatrix(entries)
 
 
-# IntMatrix has no 0 x k shape for k > 0: with no rows it is 0 x 0.
 @settings(max_examples=120, deadline=None)
 @given(small_matrices(), st.sampled_from([2, 3, 4, 5, 8, 9, 16]))
 @example(IntMatrix([]), 4)
+@example(IntMatrix.zero(0, 3), 9)
 @example(IntMatrix([[]]), 9)
 @example(IntMatrix([[], [], []]), 16)
 def test_mod_kernels_match_oracle(m, mod_value):

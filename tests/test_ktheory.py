@@ -2,17 +2,19 @@ import random
 
 import pytest
 
-from helpers import jacobson_quiver, random_no_source_quiver, rose, \
-    toeplitz_quiver
-from leavittk import ktheory
-from leavittk.groups import (FinAbGroup, Modulus, brute_force_mod_oracle)
+from helpers import jacobson_quiver, random_ladder_quiver, \
+    random_no_source_quiver, rose, toeplitz_quiver
+from leavittk import groups, ktheory
+from leavittk.groups import (FinAbGroup, Modulus, brute_force_mod_oracle,
+                             local_smith_exponents)
 from leavittk.matrices import IntMatrix, smith_normal_form
 from leavittk.ktheory import (COKERNEL, CoefficientTheory, DegreeData, KERNEL,
                               ZERO_NEGATIVE, corner_les, divisibility_report,
                               leavitt_matrix, les_table_for_quiver,
                               mod_l_ktheory, moore_splitting_check,
                               suslin_coefficients, uct_order_check)
-from leavittk.quiver import SourcesPresentError, order_sinks_first, parse_quiver
+from leavittk.quiver import OrderedQuiver, SourcesPresentError, \
+    order_sinks_first, parse_quiver, reduced_incidence
 
 
 def G(*orders):
@@ -33,6 +35,23 @@ class TestLeavittMatrix:
         q = order_sinks_first(parse_quiver("vertices a b\narrow x a b\narrow l b b"))
         with pytest.raises(SourcesPresentError):
             leavitt_matrix(q)
+
+    def test_matches_block_construction(self):
+        rng = random.Random(8)
+        quivers = [random_no_source_quiver(rng, max_vertices=5, max_arrows=12)
+                   for _ in range(40)]
+        quivers += [random_ladder_quiver(rng, 30, 3, sinks) for sinks in (0, 5)]
+        for q in quivers:
+            assert leavitt_matrix(q) == \
+                IntMatrix.identity_below_zero(q.v, q.v - q.v_prime) \
+                - reduced_incidence(q).transpose()
+
+    def test_inconsistent_sink_order_rejected(self):
+        q = parse_quiver("vertices a b\narrow x a b\narrow y b a")
+        claimed = OrderedQuiver(vertices=q.vertices, arrows=q.arrows,
+                                num_sinks=1)
+        with pytest.raises(AssertionError, match="sink row 0 is nonzero"):
+            leavitt_matrix(claimed)
 
 
 class TestModLTables:
@@ -303,6 +322,18 @@ class TestDivisibilityReport:
 
 class TestOneReductionPerMatrix:
     @pytest.fixture
+    def local_calls(self, monkeypatch):
+        calls = []
+
+        def counting(matrix, p, e):
+            calls.append((matrix, p, e))
+            return local_smith_exponents(matrix, p, e)
+
+        monkeypatch.setattr(groups, "local_smith_exponents", counting)
+        monkeypatch.setattr(ktheory, "local_smith_exponents", counting)
+        return calls
+
+    @pytest.fixture
     def snf_calls(self, monkeypatch):
         calls = []
 
@@ -313,28 +344,50 @@ class TestOneReductionPerMatrix:
         monkeypatch.setattr(ktheory, "smith_normal_form", counting)
         return calls
 
-    def test_table(self, snf_calls):
+    def test_table(self, local_calls, snf_calls):
         q = jacobson_quiver(2)
         mod_l_ktheory(q, Modulus.of(8))
-        assert snf_calls == [leavitt_matrix(q)]
+        assert local_calls == [(leavitt_matrix(q), 2, 3)]
+        assert snf_calls == []
 
-    def test_divisibility_report_three_primes(self, snf_calls):
+    def test_table_one_elimination_per_prime(self, local_calls):
+        q = jacobson_quiver(2)
+        with pytest.warns(UserWarning):
+            mod_l_ktheory(q, Modulus.of(360))
+        assert local_calls == [(leavitt_matrix(q), 2, 3),
+                               (leavitt_matrix(q), 3, 2),
+                               (leavitt_matrix(q), 5, 1)]
+
+    def test_divisibility_report_three_primes(self, local_calls, snf_calls):
         q = rose(3)
         divisibility_report(q, [(2, 1), (3, 1), (5, 2)])
-        assert snf_calls == [leavitt_matrix(q)]
+        assert local_calls == [(leavitt_matrix(q), 2, 1),
+                               (leavitt_matrix(q), 3, 1),
+                               (leavitt_matrix(q), 5, 2)]
+        assert snf_calls == []
 
-    def test_les_once_per_distinct_degree_data(self, snf_calls):
+    def test_divisibility_report_powers_share_pivots(self, local_calls):
+        # rose(5) and rose(9) have pivots 4 and 8, which vanish mod 2
+        for q in (jacobson_quiver(3), rose(5), rose(9)):
+            local_calls.clear()
+            report = divisibility_report(q, [(2, 1), (2, 3), (2, 2)])
+            assert local_calls == [(leavitt_matrix(q), 2, 3)]
+            for e in report.entries:
+                assert e.table == mod_l_ktheory(q, e.modulus, 0, 2)
+
+    def test_les_once_per_distinct_degree_data(self, local_calls, snf_calls):
         for q in (toeplitz_quiver(), jacobson_quiver(1), rose(3)):
-            snf_calls.clear()
+            local_calls.clear()
             les_table_for_quiver(q, Modulus.of(4))
             # one zero presentation for the odd and negative degrees, one
             # stabilized map for the even ones
-            assert len(snf_calls) == 2
-            assert leavitt_matrix(q) in snf_calls
+            assert len(local_calls) == 2
+            assert (leavitt_matrix(q), 2, 2) in local_calls
+        assert snf_calls == []
 
-    def test_corner_les_integral_data(self, snf_calls):
+    def test_corner_les_integral_data(self, local_calls, snf_calls):
         data = DegreeData(rank=1, phi=IntMatrix([[3]]))
         theory = CoefficientTheory(degrees=((0, data),), period=1)
         entries = corner_les(theory, 0, 5)
-        assert len(snf_calls) == 1
+        assert len(snf_calls) == 1 and local_calls == []
         assert all(e.sub == G(2) and e.quotient.is_trivial for e in entries)
