@@ -309,8 +309,8 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
     matrix = leavitt_matrix(q)
     top: dict = {}  # prime -> largest requested exponent
     for l, nu in primes:
-        if factorize(l) != ((l, 1),):
-            raise ValueError(f"{l} is not prime")
+        if nu < 1 or l < 2 or factorize(l) != ((l, 1),):
+            raise ValueError(f"{l}^{nu} is not a positive power of a prime")
         top[l] = max(nu, top.get(l, 0))
     exponents = {l: local_smith_exponents(matrix, l, nu)
                  for l, nu in top.items()}

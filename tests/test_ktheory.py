@@ -279,6 +279,11 @@ class TestMooreSplitting:
 
 
 class TestDivisibilityReport:
+    def test_rejects_non_prime_powers(self):
+        for bad in ((6, 1), (1, 1), (2, 0)):
+            with pytest.raises(ValueError):
+                divisibility_report(rose(3), [(5, 1), bad])
+
     def test_rose_three_petals(self):
         q = rose(3)
         report = divisibility_report(q, [(5, 1), (2, 1)])

@@ -24,7 +24,6 @@ def agree(matrix: IntMatrix, m: int):
         (matrix, m)
     if max(m ** matrix.rows, m ** matrix.cols) <= ORACLE_SIZE:
         assert local == brute_force_mod_oracle(matrix, modulus), (matrix, m)
-    return local
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int):
