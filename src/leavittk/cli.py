@@ -53,9 +53,14 @@ def _parse_modulus(text: str) -> Modulus:
         value = int(text)
     except ValueError:
         raise _CliError(EXIT_MODULUS, f"modulus must be an integer, got {text!r}")
-    if value < 2:
-        raise _CliError(EXIT_MODULUS, f"modulus must be >= 2, got {value}")
-    return Modulus.of(value)
+    return _modulus_of(value)
+
+
+def _modulus_of(value: int) -> Modulus:
+    try:
+        return Modulus.of(value)
+    except ValueError as exc:
+        raise _CliError(EXIT_MODULUS, f"bad modulus: {exc}")
 
 
 def _parse_prime_power(text: str):
@@ -67,7 +72,7 @@ def _parse_prime_power(text: str):
         raise _CliError(EXIT_MODULUS, f"bad prime power {text!r}")
     if l < 2 or nu < 1:
         raise _CliError(EXIT_MODULUS, f"bad prime power {text!r}")
-    if Modulus.of(l).factorization != ((l, 1),):
+    if _modulus_of(l).factorization != ((l, 1),):
         raise _CliError(EXIT_MODULUS, f"{l} is not prime")
     return l, nu
 

@@ -11,7 +11,7 @@ Z is the integral route and the reference the local one is tested on.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -50,11 +50,14 @@ def _proven_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> tuple:
+def factorize(n: int, trial_limit: int | None = None) -> tuple:
     """Prime factorization ((p, e), ...) with strictly increasing primes.
 
     Trial division, which stops as soon as the cofactor left is proven
-    prime by deterministic Miller-Rabin (below 3.3e24 only).
+    prime by deterministic Miller-Rabin (below 3.3e24 only).  With a
+    trial_limit, no divisor at or above it is tried, and a cofactor left
+    that is not proven prime (so at least trial_limit**2) raises
+    ValueError.
 
     >>> factorize(360)
     ((2, 3), (3, 2), (5, 1))
@@ -63,10 +66,15 @@ def factorize(n: int) -> tuple:
     """
     if n < 1:
         raise ValueError("factorize needs n >= 1")
+    original = n
     out = []
     p = 2
     prime = _proven_prime(n)
     while not prime and p * p <= n:
+        if trial_limit is not None and p >= trial_limit:
+            raise ValueError(
+                f"cannot factor {original}: no prime factor below "
+                f"{trial_limit}, and the cofactor {n} is not proven prime")
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -80,6 +88,11 @@ def factorize(n: int) -> tuple:
     return tuple(out)
 
 
+# Modulus.of tries no divisor at or above this, so every m below its
+# square still factors and no modulus costs more than ~5e5 divisions.
+_MODULUS_TRIAL_LIMIT = 10 ** 6
+
+
 @dataclass(frozen=True)
 class Modulus:
     """A coefficient modulus m >= 2 together with its factorization."""
@@ -89,9 +102,12 @@ class Modulus:
 
     @classmethod
     def of(cls, m: int) -> "Modulus":
+        """The modulus m with its factorization; raises ValueError when
+        m < 2 or m cannot be factored within the trial-division limit
+        (a cofactor of 1e12 or more that is not proven prime)."""
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
-        return cls(m=m, factorization=factorize(m))
+        return cls(m=m, factorization=factorize(m, _MODULUS_TRIAL_LIMIT))
 
     @property
     def is_prime_power(self) -> bool:
@@ -380,12 +396,29 @@ _ORACLE_BOUND = 10 ** 6
 
 def brute_force_mod_oracle(matrix: IntMatrix, modulus: Modulus):
     """Kernel and cokernel of the map (Z/m)^cols -> (Z/m)^rows by
-    exhaustive enumeration, classifying each group from its element
-    profile.  Independent of both elimination routes (the Smith form
-    over Z and the local elimination over Z/p^e); exists to certify
-    them on small instances.
+    exhaustive enumeration of the image, classifying each group from
+    its p^j-torsion counts.  Independent of both elimination routes
+    (the Smith form over Z and the local elimination over Z/p^e);
+    exists to certify them on small instances.
+
+    The image is the subgroup of (Z/m)^rows generated by the columns:
+    starting from {0}, each column c adds the cosets image + k.c until
+    k.c falls back into the image.  For q with g = gcd(q, m), let N_g
+    count the image elements whose coordinates are all divisible by g.
+    Since q.x = 0 exactly on (m/g).(Z/m)^cols, whose image (m/g).image
+    has order |image| / N_g, and q.y lies in the image exactly when g.y
+    lies in its N_g elements divisible by g,
+
+        #{x in kernel : q.x = 0} = g^cols * N_g / |image|,
+        #{y + image in cokernel : q.y in image} = g^rows * N_g / |image|.
+
+    One pass over the image tallies gcd(m, y_1, ..., y_rows) for all q.
 
     Requires m**cols <= 1e6 and m**rows <= 1e6.
+
+    >>> [str(g) for g in brute_force_mod_oracle(IntMatrix([[2, 0]]),
+    ...                                         Modulus.of(12))]
+    ['Z/2 (+) Z/12', 'Z/2']
     """
     m = modulus.m
     rows, cols = matrix.rows, matrix.cols
@@ -393,31 +426,29 @@ def brute_force_mod_oracle(matrix: IntMatrix, modulus: Modulus):
         raise SizeLimitError(
             f"oracle bound exceeded: {m}^{cols} or {m}^{rows} > {_ORACLE_BOUND}")
 
-    mrows = [matrix.row(i) for i in range(rows)]
+    columns = matrix.transpose()
+    image = {(0,) * rows}
+    for j in range(cols):
+        c = tuple(x % m for x in columns.row(j))
+        base = list(image)
+        kc = c
+        # k.c lies in a coset base + i.c added earlier (i < k) only if
+        # (k - i).c lies in base, so testing the grown set stops at the
+        # order of c modulo base.
+        while kc not in image:
+            image.update(tuple((a + b) % m for a, b in zip(y, kc))
+                         for y in base)
+            kc = tuple((a + b) % m for a, b in zip(kc, c))
 
-    def apply(x):
-        return tuple(sum(c * xi for c, xi in zip(row, x)) % m for row in mrows)
+    gcd_counts = Counter(gcd(m, *y) for y in image)
 
-    kernel_elems = []
-    image = set()
-    for x in itertools.product(range(m), repeat=cols):
-        y = apply(x)
-        image.add(y)
-        if all(c == 0 for c in y):
-            kernel_elems.append(x)
+    def killed(q, n):
+        g = gcd(q, m)
+        n_g = sum(k for h, k in gcd_counts.items() if h % g == 0)
+        return g ** n * n_g // len(image)
 
-    kernel = _classify_by_annihilator_counts(
-        modulus,
-        lambda q: sum(1 for x in kernel_elems
-                      if all((q * xi) % m == 0 for xi in x)))
-
-    image_order = len(image)
-    cokernel = _classify_by_annihilator_counts(
-        modulus,
-        lambda q: sum(1 for y in itertools.product(range(m), repeat=rows)
-                      if tuple((q * yi) % m for yi in y) in image) // image_order)
-
-    return kernel, cokernel
+    return (_classify_by_annihilator_counts(modulus, lambda q: killed(q, cols)),
+            _classify_by_annihilator_counts(modulus, lambda q: killed(q, rows)))
 
 
 def _classify_by_annihilator_counts(modulus: Modulus, count_killed) -> FinAbGroup:

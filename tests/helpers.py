@@ -1,7 +1,9 @@
-"""Shared quiver builders and random generators for the test suite."""
+"""Shared quiver builders, random generators and a literal-definition
+torsion counter for the test suite."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from leavittk import OrderedQuiver, Quiver, order_sinks_first
@@ -83,3 +85,25 @@ def dense_quiver(rng: random.Random, v: int, most: int) -> OrderedQuiver:
              for _ in range(rng.randint(1, most))]
     arrows = [(f"e{i}", s, t) for i, (s, t) in enumerate(pairs)]
     return order_sinks_first(Quiver.build(vertices, arrows))
+
+
+def literal_torsion_counts(matrix, m: int, qs) -> dict:
+    """q -> (#{x in ker : q.x = 0}, #{y + im in coker : q.y in im}) for
+    the map (Z/m)^cols -> (Z/m)^rows, straight from the definitions: one
+    walk over all of (Z/m)^cols for the image and the kernel, then one
+    walk over all of (Z/m)^rows per q."""
+    rows = [matrix.row(i) for i in range(matrix.rows)]
+    image, kernel = set(), []
+    for x in itertools.product(range(m), repeat=matrix.cols):
+        y = tuple(sum(a * b for a, b in zip(row, x)) % m for row in rows)
+        image.add(y)
+        if not any(y):
+            kernel.append(x)
+    counts = {}
+    for q in qs:
+        killed = sum(1 for x in kernel if all(q * a % m == 0 for a in x))
+        lifted = sum(1 for y in itertools.product(range(m), repeat=matrix.rows)
+                     if tuple(q * a % m for a in y) in image)
+        assert lifted % len(image) == 0
+        counts[q] = (killed, lifted // len(image))
+    return counts

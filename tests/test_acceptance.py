@@ -98,7 +98,7 @@ def test_criterion_3_oracle_equivalence():
         rng = random.Random(2024)
         start = time.monotonic()
         for _ in range(200):
-            q = random_no_source_quiver(rng, max_vertices=4, max_arrows=8,
+            q = random_no_source_quiver(rng, max_vertices=5, max_arrows=10,
                                         also_sink_free=True)
             matrix = leavitt_matrix(q)
             for m in (2, 3, 4, 5, 7, 8, 9):

@@ -308,3 +308,23 @@ class TestPrimeModulus:
         assert code == 0 and err == ""
         assert f"[modulus {BIG_PRIME}^1 = {BIG_PRIME}]" in out
         assert "uniquely" in out
+
+
+class TestUnfactorableModulus:
+    """(10^9 + 7)(10^9 + 9) has no prime factor below the trial-division
+    limit, and Miller-Rabin proves it composite: it is rejected with
+    exit 3 instead of being trial-divided without bound."""
+
+    TWO_LARGE_PRIMES = str((10 ** 9 + 7) * (10 ** 9 + 9))
+
+    @pytest.mark.parametrize("args", [
+        ["kmod", quiver_path("rose2.q"), "--mod", TWO_LARGE_PRIMES],
+        ["analyze", quiver_path("rose3.q"), "--primes", TWO_LARGE_PRIMES],
+        ["split", "--n", "6", "--mod", TWO_LARGE_PRIMES],
+    ])
+    def test_exits_bad_modulus(self, args):
+        start = time.perf_counter()
+        code, out, err = run_cli(args)
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert "bad modulus" in err and self.TWO_LARGE_PRIMES in err

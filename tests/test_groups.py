@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,6 +106,26 @@ class TestFactorize:
         for p, e in factors:
             product *= p ** e
         assert product == n
+
+    @pytest.mark.parametrize("m", [
+        999983 * 999979,  # two primes just below the trial-division limit
+        999983 ** 2, 10 ** 12, 999999999989, 2 * 999983 * 999979,
+        (10 ** 9 + 7) * 2 ** 20])
+    def test_modulus_factors_within_limit(self, m):
+        factors = Modulus.of(m).factorization
+        product = 1
+        for p, e in factors:
+            assert _proven_prime(p)
+            product *= p ** e
+        assert product == m
+
+    @pytest.mark.parametrize("m", [(10 ** 9 + 7) * (10 ** 9 + 9),
+                                   1000003 ** 2, 3317044064679887385961981])
+    def test_modulus_trial_division_is_bounded(self, m):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not proven prime"):
+            Modulus.of(m)
+        assert time.perf_counter() - start < 2
 
     def test_no_proof_claimed_at_or_above_bound(self):
         # strong pseudoprime to bases 2..37, caught by base 41
