@@ -1,9 +1,12 @@
 """Command line front end.
 
-Subcommands: kmod, analyze, algebra, filtration, split.  Output is
-deterministic byte-for-byte for fixed input; errors go to stderr only.
-Exit codes: 0 ok, 1 parse error, 2 quiver has sources, 3 bad modulus,
-4 work bound exceeded.
+Subcommands: kmod, analyze, algebra, filtration, split.  Each handler
+returns one ordered list of (key, value, text) rows; `main` alone
+renders them in the chosen format and turns failures into exit codes.
+Output is deterministic byte-for-byte for fixed input; errors go to
+stderr only.  Exit codes: 0 ok, 1 parse error (also an empty --from/--to
+window), 2 quiver has sources, 3 bad modulus, 4 work bound exceeded
+(a filtration level past its size limit, split --n above 10^5).
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .filtration import (block_profile, expected_inclusion_matrix,
 from .groups import Modulus, SizeLimitError
 from .ktheory import (DEFAULT_WINDOW, divisibility_report, mod_l_ktheory,
                       moore_splitting_check)
-from .quiver import (OrderedQuiver, QuiverParseError, SourcesPresentError,
-                     order_sinks_first, parse_quiver)
+from .quiver import (OrderedQuiver, SourcesPresentError, order_sinks_first,
+                     parse_quiver)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -31,9 +34,7 @@ EXIT_WORK = 4
 
 
 class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
+    """args: (exit code, message)."""
 
 
 def _load_quiver(path: str) -> OrderedQuiver:
@@ -44,7 +45,7 @@ def _load_quiver(path: str) -> OrderedQuiver:
         raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
     try:
         return order_sinks_first(parse_quiver(text))
-    except (QuiverParseError, ValueError) as exc:
+    except ValueError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}")
 
 
@@ -66,10 +67,9 @@ def _modulus_of(value: int) -> Modulus:
 def _parse_prime_power(text: str):
     base, _, exp = text.partition("^")
     try:
-        l = int(base)
-        nu = int(exp) if exp else 1
+        l, nu = int(base), int(exp or 1)
     except ValueError:
-        raise _CliError(EXIT_MODULUS, f"bad prime power {text!r}")
+        l = nu = 0
     if l < 2 or nu < 1:
         raise _CliError(EXIT_MODULUS, f"bad prime power {text!r}")
     if _modulus_of(l).factorization != ((l, 1),):
@@ -77,19 +77,31 @@ def _parse_prime_power(text: str):
     return l, nu
 
 
-def _banner(modulus: Modulus) -> list:
-    lines = [f"# hypothesis: base field k algebraically closed, "
-             f"char(k) coprime to {modulus.m}"]
-    if not modulus.is_prime_power:
-        lines.append(f"# modulus {modulus.m} is not a prime power: "
-                     "table is a formal extension by CRT")
-    return lines
+def _render(rows, fmt: str) -> str:
+    """One subcommand's (key, value, text) rows as --format `fmt`.
 
+    A row with key None is text-only, one with text None records-only.
 
-def _emit(lines, records, fmt: str) -> str:
+    >>> rows = [("level", "1", "level 1"), (None, None, "matrix:"),
+    ...         ("matrix", "[1 0];[0 1]", "[1 0]\\n[0 1]"), ("ok", "OK", None)]
+    >>> print(_render(rows, "text"), end="")
+    level 1
+    matrix:
+    [1 0]
+    [0 1]
+    >>> print(_render(rows, "records"), end="")
+    level=1
+    matrix=[1 0];[0 1]
+    ok=OK
+    >>> parse_records(_render(rows, "records")) == [
+    ...     (k, v) for k, v, _ in rows if k is not None]
+    True
+    """
     if fmt == "records":
-        return "\n".join(f"{k}={v}" for k, v in records) + "\n"
-    return "\n".join(lines) + "\n"
+        out = [f"{k}={v}" for k, v, _ in rows if k is not None]
+    else:
+        out = [text for _, _, text in rows if text is not None]
+    return "\n".join(out) + "\n"
 
 
 def parse_records(text: str) -> list:
@@ -105,149 +117,127 @@ def parse_records(text: str) -> list:
     return out
 
 
-def _matrix_lines(m) -> list:
-    return ["[" + " ".join(str(m[i, j]) for j in range(m.cols)) + "]"
-            for i in range(m.rows)]
+def _matrix_row(key: str, m) -> tuple:
+    lines = ["[" + " ".join(str(m[i, j]) for j in range(m.cols)) + "]"
+             for i in range(m.rows)]
+    return (key, ";".join(lines), "\n".join(lines))
 
 
-def _cmd_kmod(args) -> str:
+def _window(args) -> tuple:
+    if args.n_from > args.n_to:
+        raise _CliError(EXIT_PARSE, "empty degree window")
+    return args.n_from, args.n_to
+
+
+def _cmd_kmod(args) -> list:
     q = _load_quiver(args.quiver)
     modulus = _parse_modulus(args.mod)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            table = mod_l_ktheory(q, modulus, args.n_from, args.n_to)
-    except SourcesPresentError as exc:
-        raise _CliError(EXIT_SOURCES, str(exc))
-    except ValueError as exc:
-        raise _CliError(EXIT_PARSE, str(exc))
-    lines = _banner(modulus)
-    records = [("hypothesis",
-                f"algebraically closed k, char(k) coprime to {modulus.m}"),
-               ("modulus", str(modulus.m))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = mod_l_ktheory(q, modulus, *_window(args))
+    m = modulus.m
+    rows = [("hypothesis", f"algebraically closed k, char(k) coprime to {m}",
+             f"# hypothesis: base field k algebraically closed, "
+             f"char(k) coprime to {m}")]
+    if not modulus.is_prime_power:
+        rows.append((None, None, f"# modulus {m} is not a prime power: "
+                                 "table is a formal extension by CRT"))
+    rows.append(("modulus", str(m), None))
     for n, entry in table.entries:
-        lines.append(f"K_{{{n}}}(L_Q; Z/{modulus.m}) = {entry.group}")
-        records.append((f"K_{{{n}}}", str(entry.group)))
-    return _emit(lines, records, args.format)
+        rows.append((f"K_{{{n}}}", str(entry.group),
+                     f"K_{{{n}}}(L_Q; Z/{m}) = {entry.group}"))
+    return rows
 
 
-def _cmd_analyze(args) -> str:
+def _cmd_analyze(args) -> list:
     q = _load_quiver(args.quiver)
     primes = [_parse_prime_power(tok) for tok in args.primes.split(",") if tok]
     if not primes:
         raise _CliError(EXIT_MODULUS, "no primes given")
-    try:
-        report = divisibility_report(q, primes)
-    except SourcesPresentError as exc:
-        raise _CliError(EXIT_SOURCES, str(exc))
-    lines = ["# hypothesis: base field k algebraically closed, "
-             "char(k) coprime to every listed modulus"]
-    records = [("hypothesis", "algebraically closed k, char(k) coprime to moduli")]
+    report = divisibility_report(q, primes)
+    rows = [("hypothesis", "algebraically closed k, char(k) coprime to moduli",
+             "# hypothesis: base field k algebraically closed, "
+             "char(k) coprime to every listed modulus")]
     if report.sink_free:
-        lines.append(f"determinant = {report.determinant}")
-        records.append(("determinant", str(report.determinant)))
-        if report.determinant == 0:
-            lines.append("primes dividing determinant: all")
-            records.append(("determinant_primes", "all"))
-        else:
-            ps = " ".join(str(p) for p in report.determinant_primes) or "none"
-            lines.append(f"primes dividing determinant: {ps}")
-            records.append(("determinant_primes", ps))
+        det = report.determinant
+        ps = "all" if det == 0 else \
+            " ".join(str(p) for p in report.determinant_primes) or "none"
+        rows += [("determinant", str(det), f"determinant = {det}"),
+                 ("determinant_primes", ps, f"primes dividing determinant: {ps}")]
     for entry in report.entries:
-        tag = f"{entry.prime}^{entry.power}"
-        lines.append(f"[modulus {tag} = {entry.modulus.m}]")
+        m = entry.modulus.m
+        rows.append((None, None, f"[modulus {entry.prime}^{entry.power} = {m}]"))
         for n, kentry in entry.table.entries:
-            lines.append(f"K_{{{n}}}(L_Q; Z/{entry.modulus.m}) = "
-                         f"{kentry.group}")
-            records.append((f"K_{{{n}}}(mod {entry.modulus.m})",
-                            str(kentry.group)))
+            rows.append((f"K_{{{n}}}(mod {m})", str(kentry.group),
+                         f"K_{{{n}}}(L_Q; Z/{m}) = {kentry.group}"))
         for conclusion in entry.conclusions:
-            lines.append(f"conclusion: {conclusion}")
-            records.append((f"conclusion(mod {entry.modulus.m})", conclusion))
-    return _emit(lines, records, args.format)
+            rows.append((f"conclusion(mod {m})", conclusion,
+                         f"conclusion: {conclusion}"))
+    return rows
 
 
-def _cmd_algebra(args) -> str:
-    q = _load_quiver(args.quiver)
-    alg = LeavittAlgebra(q)
-    try:
-        value = parse_element(alg, args.eval)
-    except ElementSyntaxError as exc:
-        raise _CliError(EXIT_PARSE, str(exc))
-    lines = [f"normal form: {render_element(value)}"]
-    records = [("normal_form", render_element(value))]
+def _cmd_algebra(args) -> list:
+    value = parse_element(LeavittAlgebra(_load_quiver(args.quiver)), args.eval)
+    form = render_element(value)
+    rows = [("normal_form", form, f"normal form: {form}")]
     for degree, part in value.degree_components().items():
-        lines.append(f"degree {degree}: {render_element(part)}")
-        records.append((f"degree_{degree}", render_element(part)))
-    return _emit(lines, records, args.format)
+        form = render_element(part)
+        rows.append((f"degree_{degree}", form, f"degree {degree}: {form}"))
+    return rows
 
 
-def _cmd_filtration(args) -> str:
+def _cmd_filtration(args) -> list:
     q = _load_quiver(args.quiver)
     n = args.level
     if n < 0:
         raise _CliError(EXIT_PARSE, "level must be nonnegative")
-    try:
-        profile = block_profile(q, n)
-        dim = filtration_span_dim(q, n)
-        incl = inclusion_k0_matrix(q, n)
-        phi = phi_k0_matrix(q, n)
-    except SourcesPresentError as exc:
-        raise _CliError(EXIT_SOURCES, str(exc))
-    except SizeLimitError as exc:
-        raise _CliError(EXIT_WORK, f"work bound exceeded: {exc}")
-    lines = [f"level {n}: {profile.count} blocks"]
-    records = [("level", str(n)), ("blocks", str(profile.count))]
+    profile = block_profile(q, n)
+    dim = filtration_span_dim(q, n)
+    incl = inclusion_k0_matrix(q, n)
+    phi = phi_k0_matrix(q, n)
+    rows = [("level", str(n), f"level {n}: {profile.count} blocks"),
+            ("blocks", str(profile.count), None)]
     for b in profile.blocks:
-        lines.append(f"block (level {b.level}, vertex {b.vertex}): size {b.size}")
-        records.append((f"block({b.level},{b.vertex})", str(b.size)))
-    lines.append(f"sum of squares = {profile.sum_of_squares}")
-    lines.append(f"symbolic dimension = {dim}")
-    match = "OK" if dim == profile.sum_of_squares else "FAIL"
-    lines.append(f"dimension match: {match}")
-    records += [("sum_of_squares", str(profile.sum_of_squares)),
-                ("symbolic_dimension", str(dim)),
-                ("dimension_match", match)]
+        rows.append((f"block({b.level},{b.vertex})", str(b.size),
+                     f"block (level {b.level}, vertex {b.vertex}): "
+                     f"size {b.size}"))
+    squares = profile.sum_of_squares
+    match = "OK" if dim == squares else "FAIL"
     incl_ok = "OK" if incl == expected_inclusion_matrix(q, n) else "FAIL"
     phi_ok = "OK" if phi == expected_phi_matrix(q, n) else "FAIL"
-    lines.append(f"inclusion matrix (stage {n} -> {n + 1}):")
-    lines += _matrix_lines(incl)
-    lines.append(f"inclusion matrix equals diag(id, incidence^T): {incl_ok}")
-    lines.append("corner endomorphism matrix:")
-    lines += _matrix_lines(phi)
-    lines.append(f"corner matrix equals zero-over-identity: {phi_ok}")
-    records += [("inclusion_matrix", ";".join(_matrix_lines(incl))),
-                ("inclusion_match", incl_ok),
-                ("phi_matrix", ";".join(_matrix_lines(phi))),
-                ("phi_match", phi_ok)]
-    return _emit(lines, records, args.format)
+    return rows + [
+        ("sum_of_squares", str(squares), f"sum of squares = {squares}"),
+        ("symbolic_dimension", str(dim), f"symbolic dimension = {dim}"),
+        ("dimension_match", match, f"dimension match: {match}"),
+        (None, None, f"inclusion matrix (stage {n} -> {n + 1}):"),
+        _matrix_row("inclusion_matrix", incl),
+        ("inclusion_match", incl_ok,
+         f"inclusion matrix equals diag(id, incidence^T): {incl_ok}"),
+        (None, None, "corner endomorphism matrix:"),
+        _matrix_row("phi_matrix", phi),
+        ("phi_match", phi_ok,
+         f"corner matrix equals zero-over-identity: {phi_ok}")]
 
 
-def _cmd_split(args) -> str:
+def _cmd_split(args) -> list:
     if args.n < 2:
         raise _CliError(EXIT_PARSE, "splitting check needs --n >= 2")
     modulus = _parse_modulus(args.mod)
-    result = moore_splitting_check(args.n, modulus,
-                                   n_min=args.n_from, n_max=args.n_to)
-    lines = [f"n = {result.n}; prime power factors: "
-             + " ".join(str(f) for f in result.factors),
-             f"modulus = {modulus.m}"]
-    records = [("n", str(result.n)),
-               ("factors", " ".join(str(f) for f in result.factors)),
-               ("modulus", str(modulus.m))]
+    result = moore_splitting_check(args.n, modulus, *_window(args))
+    factors = " ".join(str(f) for f in result.factors)
+    rows = [("n", str(result.n),
+             f"n = {result.n}; prime power factors: {factors}"),
+            ("factors", factors, None),
+            ("modulus", str(modulus.m), f"modulus = {modulus.m}")]
     right = dict(result.right_groups)
     for deg, ok in result.equal_by_degree:
         left = result.left.group_at(deg)
-        lines.append(f"degree {deg}: whole = {left}; "
-                     f"sum of factors = {right[deg]}; "
-                     + ("equal" if ok else "DIFFERENT"))
-        records.append((f"degree_{deg}",
-                        f"{left} | {right[deg]} | "
-                        + ("equal" if ok else "different")))
+        rows.append((f"degree_{deg}", f"{left} | {right[deg]} | "
+                     + ("equal" if ok else "different"),
+                     f"degree {deg}: whole = {left}; sum of factors = "
+                     f"{right[deg]}; " + ("equal" if ok else "DIFFERENT")))
     verdict = "EQUAL" if result.equal else "UNEQUAL"
-    lines.append(f"verdict: {verdict}")
-    records.append(("verdict", verdict))
-    return _emit(lines, records, args.format)
+    return rows + [("verdict", verdict, f"verdict: {verdict}")]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -257,33 +247,31 @@ def _build_parser() -> argparse.ArgumentParser:
                     "symbolic engine and filtration checks behind them.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, quiver=True):
+    def add(name, handler, help, quiver=True):
+        p = sub.add_parser(name, help=help)
         if quiver:
             p.add_argument("quiver", help="quiver file")
         p.add_argument("--format", choices=("text", "records"), default="text")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("kmod", help="mod-m K-group table")
-    add_common(p)
+    p = add("kmod", _cmd_kmod, "mod-m K-group table")
     p.add_argument("--mod", required=True, help="modulus m >= 2")
     p.add_argument("--from", dest="n_from", type=int, default=DEFAULT_WINDOW[0])
     p.add_argument("--to", dest="n_to", type=int, default=DEFAULT_WINDOW[1])
 
-    p = sub.add_parser("analyze", help="vanishing and divisibility report")
-    add_common(p)
+    p = add("analyze", _cmd_analyze, "vanishing and divisibility report")
     p.add_argument("--primes", required=True,
                    help="comma-separated primes, each optionally p^nu")
 
-    p = sub.add_parser("algebra", help="normalize an element expression")
-    add_common(p)
+    p = add("algebra", _cmd_algebra, "normalize an element expression")
     p.add_argument("--eval", required=True, help="element expression")
 
-    p = sub.add_parser("filtration", help="length filtration blocks and "
-                                          "transition matrices")
-    add_common(p)
+    p = add("filtration", _cmd_filtration,
+            "length filtration blocks and transition matrices")
     p.add_argument("--level", type=int, required=True)
 
-    p = sub.add_parser("split", help="prime-power splitting check")
-    add_common(p, quiver=False)
+    p = add("split", _cmd_split, "prime-power splitting check", quiver=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mod", required=True)
     p.add_argument("--from", dest="n_from", type=int, default=DEFAULT_WINDOW[0])
@@ -292,24 +280,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "kmod": _cmd_kmod,
-    "analyze": _cmd_analyze,
-    "algebra": _cmd_algebra,
-    "filtration": _cmd_filtration,
-    "split": _cmd_split,
-}
-
-
 def main(argv=None) -> int:
+    """Run one subcommand: its rows go to stdout, any failure to stderr
+    as a message plus the exit code documented above."""
     args = _build_parser().parse_args(argv)
     try:
-        output = _HANDLERS[args.command](args)
+        rows = args.handler(args)
     except _CliError as exc:
-        print(exc.message, file=sys.stderr)
-        return exc.code
-    sys.stdout.write(output)
-    return EXIT_OK
+        code, message = exc.args
+    except SourcesPresentError as exc:
+        code, message = EXIT_SOURCES, str(exc)
+    except SizeLimitError as exc:
+        code, message = EXIT_WORK, f"work bound exceeded: {exc}"
+    except ElementSyntaxError as exc:
+        code, message = EXIT_PARSE, str(exc)
+    else:
+        sys.stdout.write(_render(rows, args.format))
+        return EXIT_OK
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

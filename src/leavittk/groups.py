@@ -251,7 +251,8 @@ def kernel_cokernel(dec: SmithDecomposition, modulus: Modulus | None = None):
     factor d adds Z/d to the cokernel.  Over Z/m the diagonal reduces
     the question to multiplication maps on cyclic groups: each d adds
     Z/gcd(d, m) to both sides, and each unused row (column) a full Z/m
-    summand to the cokernel (kernel).
+    summand to the cokernel (kernel).  Since d_1 | d_2 | ..., both
+    lists are already chains, so dropping the 1s leaves the normal form.
 
     >>> dec = smith_normal_form(IntMatrix([[2, 0], [0, 0]]))
     >>> [str(g) for g in kernel_cokernel(dec)]
@@ -260,14 +261,14 @@ def kernel_cokernel(dec: SmithDecomposition, modulus: Modulus | None = None):
     ['Z/2 (+) Z/4', 'Z/2 (+) Z/4']
     """
     rows, cols = dec.matrix.rows, dec.matrix.cols
-    ds = list(dec.invariant_factors)
+    ds = dec.invariant_factors
     if modulus is None:
         return (FinAbGroup.free(cols - len(ds)),
-                FinAbGroup.from_cyclic_orders([0] * (rows - len(ds)) + ds))
+                FinAbGroup(rows - len(ds), tuple(d for d in ds if d > 1)))
     m = modulus.m
-    orders = [gcd(d, m) for d in ds]
-    return (FinAbGroup.from_cyclic_orders(orders + [m] * (cols - len(ds))),
-            FinAbGroup.from_cyclic_orders(orders + [m] * (rows - len(ds))))
+    orders = tuple(g for d in ds if (g := gcd(d, m)) > 1)
+    return (FinAbGroup(0, orders + (m,) * (cols - len(ds))),
+            FinAbGroup(0, orders + (m,) * (rows - len(ds))))
 
 
 def cokernel_int(matrix: IntMatrix) -> FinAbGroup:
@@ -457,15 +458,16 @@ def _classify_by_annihilator_counts(modulus: Modulus, count_killed) -> FinAbGrou
 
     count_killed(q) must return #{x in G : q.x = 0}.  For each prime p,
     log_p of the p^j-torsion count as a function of j determines the
-    multiset of exponents in the p-primary decomposition.
+    multiset of exponents in the p-primary decomposition.  A count that
+    is not a power of p, 0 included, raises AssertionError.
     """
-    orders = []
+    parts = {}
     for p, e in modulus.factorization:
         logs = []
         for j in range(e + 1):
             c = count_killed(p ** j)
             k = 0
-            while c % p == 0:
+            while c > 1 and c % p == 0:
                 c //= p
                 k += 1
             if c != 1:
@@ -473,9 +475,9 @@ def _classify_by_annihilator_counts(modulus: Modulus, count_killed) -> FinAbGrou
             logs.append(k)
         # lam[j] = number of cyclic p-power factors with exponent >= j
         lam = [logs[j] - logs[j - 1] for j in range(1, e + 1)] + [0]
-        for j in range(1, e + 1):
-            orders.extend([p ** j] * (lam[j - 1] - lam[j]))
-    return FinAbGroup.from_cyclic_orders(orders)
+        parts[p] = [j for j in range(1, e + 1)
+                    for _ in range(lam[j - 1] - lam[j])]
+    return FinAbGroup.from_primary_parts(0, parts)
 
 
 __all__ = [

@@ -16,8 +16,8 @@ import warnings
 from dataclasses import dataclass
 from math import gcd
 
-from .groups import FinAbGroup, Modulus, factorize, kernel_cokernel, \
-    kernel_cokernel_mod, local_smith_exponents
+from .groups import FinAbGroup, Modulus, SizeLimitError, factorize, \
+    kernel_cokernel, kernel_cokernel_mod, local_smith_exponents
 from .matrices import IntMatrix, smith_normal_form
 from .quiver import OrderedQuiver, Quiver, as_ordered, order_sinks_first, \
     reduced_incidence, require_no_sources
@@ -388,13 +388,20 @@ def rose_quiver(petals: int) -> OrderedQuiver:
     return order_sinks_first(Quiver.build(("w",), arrows))
 
 
+_SPLIT_BOUND = 10 ** 5
+
+
 def moore_splitting_check(n: int, modulus: Modulus,
                           n_min: int = DEFAULT_WINDOW[0],
                           n_max: int = DEFAULT_WINDOW[1]) -> SplitCheckResult:
     """Compare the rose on n+1 petals against the degreewise direct sum
-    over the roses of its prime-power factors."""
+    over the roses of its prime-power factors.  n above 10^5 raises
+    SizeLimitError before n is factorized or any rose is built."""
     if n < 2:
         raise ValueError("splitting check needs n >= 2")
+    if n > _SPLIT_BOUND:
+        raise SizeLimitError(f"splitting check needs n <= {_SPLIT_BOUND}, "
+                             f"got {n}")
     factors = tuple(p ** e for p, e in factorize(n))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

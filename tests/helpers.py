@@ -1,10 +1,11 @@
-"""Shared quiver builders, random generators and a literal-definition
-torsion counter for the test suite."""
+"""Shared quiver builders, random generators, a literal-definition
+torsion counter and a time-bounded call for the test suite."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import threading
 
 from leavittk import OrderedQuiver, Quiver, order_sinks_first
 from leavittk.ktheory import rose_quiver
@@ -107,3 +108,21 @@ def literal_torsion_counts(matrix, m: int, qs) -> dict:
         assert lifted % len(image) == 0
         counts[q] = (killed, lifted // len(image))
     return counts
+
+
+def call_within(seconds: float, fn):
+    """fn() in a daemon thread: its return value or the exception it
+    raised, or None while it is still running after `seconds`, so that a
+    hang fails the calling test instead of stalling the suite."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(fn())
+        except Exception as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    return outcome[0] if outcome else None

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import call_within
 from leavittk.cli import main, parse_records
 
 DATA = Path(__file__).parent / "data"
@@ -119,6 +120,24 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert "work bound exceeded" in err
+
+    @pytest.mark.parametrize("n", [(10 ** 9 + 7) * (10 ** 9 + 9), 10 ** 5 + 1])
+    def test_split_bound_exit_four(self, n):
+        got = call_within(2, lambda: run_cli(["split", "--n", str(n),
+                                              "--mod", "4"]))
+        assert got is not None
+        code, out, err = got
+        assert code == 4 and out == ""
+        assert err == f"work bound exceeded: splitting check needs " \
+                      f"n <= 100000, got {n}\n"
+
+    @pytest.mark.parametrize("command", [["kmod", quiver_path("rose1.q")],
+                                         ["split", "--n", "6"]])
+    def test_empty_window_exit_one(self, command):
+        code, out, err = run_cli(command + ["--mod", "4", "--from", "5",
+                                            "--to", "2"])
+        assert code == 1 and out == ""
+        assert err == "empty degree window\n"
 
 
 class TestAnalyze:

@@ -3,6 +3,7 @@ import doctest
 import pytest
 
 import leavittk.algebra
+import leavittk.cli
 import leavittk.element_syntax
 import leavittk.filtration
 import leavittk.groups
@@ -12,6 +13,7 @@ import leavittk.quiver
 
 MODULES = [
     leavittk.algebra,
+    leavittk.cli,
     leavittk.element_syntax,
     leavittk.filtration,
     leavittk.groups,

@@ -11,11 +11,20 @@ from pathlib import Path
 
 import pytest
 
+from leavittk.quiver import parse_quiver
 from test_cli import DATA, run_cli
 
 GOLDEN = DATA / "golden"
 QUIVERS = sorted(p.name for p in DATA.glob("*.q"))
 PRIMES = "2,2^3,3,5^2,7"
+
+
+def element_expressions(name: str) -> list:
+    """`1`, `0`, a sum, a fraction scalar and a product, in `name`'s arrows."""
+    q = parse_quiver((DATA / name).read_text(encoding="utf-8"))
+    a, b = q.arrows[0].name, q.arrows[-1].name
+    return ["1", "0", f"{a} + {b}*", f"2/3 {a}* . {a} - e({q.vertices[0]})",
+            f"{a} . {a}*"]
 
 
 def quiver_commands(name: str) -> list:
@@ -25,6 +34,11 @@ def quiver_commands(name: str) -> list:
         for m in ("4", "8", "12"):
             commands.append(["kmod", path, "--mod", m, "--format", fmt])
         commands.append(["analyze", path, "--primes", PRIMES, "--format", fmt])
+        for level in ("0", "1", "2"):
+            commands.append(["filtration", path, "--level", level,
+                             "--format", fmt])
+        for expr in element_expressions(name):
+            commands.append(["algebra", path, "--eval", expr, "--format", fmt])
     return commands
 
 

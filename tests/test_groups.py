@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import call_within
 from leavittk.groups import (FinAbGroup, Modulus, SizeLimitError,
                              _proven_prime, brute_force_mod_oracle,
                              cokernel_int, cokernel_mod, factorize,
@@ -147,6 +148,16 @@ class TestIntegralKernels:
         assert kernel_rank_int(IntMatrix.identity(3)) == 0
         assert kernel_rank_int(IntMatrix.zero(2, 3)) == 3
         assert kernel_rank_int(IntMatrix([[1, 1]])) == 1
+
+    def test_large_invariant_factor_is_not_factorized(self):
+        """The normal form is read off the Smith chain, so an invariant
+        factor with two prime factors near 1e9 costs no trial division."""
+        d = (10 ** 9 + 7) * (10 ** 9 + 9) * (10 ** 6 + 3)
+        got = call_within(2, lambda: (
+            cokernel_int(IntMatrix([[d]])),
+            kernel_cokernel(smith_normal_form(IntMatrix([[6 * d, 0, 0]])),
+                            Modulus.of(12))))
+        assert got == (FinAbGroup(0, (d,)), (G(6, 12, 12), G(6)))
 
 
 class TestModularKernels:

@@ -5,8 +5,8 @@ import pytest
 from helpers import jacobson_quiver, random_ladder_quiver, \
     random_no_source_quiver, rose, toeplitz_quiver
 from leavittk import groups, ktheory
-from leavittk.groups import (FinAbGroup, Modulus, brute_force_mod_oracle,
-                             local_smith_exponents)
+from leavittk.groups import (FinAbGroup, Modulus, SizeLimitError,
+                             brute_force_mod_oracle, local_smith_exponents)
 from leavittk.matrices import IntMatrix, smith_normal_form
 from leavittk.ktheory import (COKERNEL, CoefficientTheory, DegreeData, KERNEL,
                               ZERO_NEGATIVE, corner_les, divisibility_report,
@@ -265,6 +265,14 @@ class TestMooreSplitting:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             moore_splitting_check(1, Modulus.of(4))
+
+    def test_large_n_rejected(self):
+        with pytest.raises(SizeLimitError, match="n <= 100000, got 100001"):
+            moore_splitting_check(10 ** 5 + 1, Modulus.of(4))
+
+    def test_bound_is_inclusive(self):
+        res = moore_splitting_check(10 ** 5, Modulus.of(4), 0, 1)
+        assert res.factors == (32, 3125) and res.equal
 
     def test_reports_both_sides(self):
         res = moore_splitting_check(6, Modulus.of(4))

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import literal_torsion_counts
+from helpers import call_within, literal_torsion_counts
 from leavittk import groups
 from leavittk.groups import Modulus, brute_force_mod_oracle
 from leavittk.matrices import IntMatrix
@@ -106,3 +106,13 @@ def test_counts_hold_for_every_q(monkeypatch):
             for q, pair in literal_torsion_counts(matrix, m, qs).items():
                 assert (kernel_count(q), cokernel_count(q)) == pair, \
                     (matrix, m, q)
+
+
+@pytest.mark.parametrize("count", [lambda q: 0, lambda q: 0 if q > 1 else 1],
+                         ids=["always-zero", "zero-above-one"])
+def test_zero_count_raises(count):
+    # No true torsion count is 0; a wrong one must fail the classifier's
+    # check at once instead of looping on c % p == 0.
+    got = call_within(2, lambda: groups._classify_by_annihilator_counts(
+        Modulus.of(12), count))
+    assert isinstance(got, AssertionError)
