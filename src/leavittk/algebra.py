@@ -17,11 +17,13 @@ arrow (smallest arrow id at each non-sink) only fixes which basis of
 the same algebra we use.
 
 Coefficients are exact rationals by default; passing a prime switches
-to the corresponding prime field.  Floating point never appears.
+to the corresponding prime field.  The ring is chosen once, when the
+algebra is built.  Floating point never appears.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import warnings
 from dataclasses import dataclass
@@ -54,7 +56,8 @@ class Monomial(NamedTuple):
 
 def _sort_key(mon: Monomial):
     l, r = mon.left, mon.right
-    return (len(l) + len(r), len(l), l.arrows, l.source, r.arrows, r.source)
+    nl = len(l.arrows)
+    return (nl + len(r.arrows), nl, l.arrows, l.source, r.arrows, r.source)
 
 
 class LeavittAlgebra:
@@ -70,6 +73,20 @@ class LeavittAlgebra:
         if coeff_prime is not None and coeff_prime < 2:
             raise ValueError("coefficient prime must be >= 2")
         self.coeff_prime = coeff_prime
+        # The coefficient ring is fixed here: exact rationals (Fraction in,
+        # Fraction out) or integers reduced mod coeff_prime.
+        if coeff_prime is None:
+            self.coerce = lambda c: c if isinstance(c, Fraction) else Fraction(c)
+            self._cadd, self._cmul, self._cneg = operator.add, operator.mul, \
+                operator.neg
+        else:
+            p = coeff_prime
+            self.coerce = lambda c: (c.numerator * pow(c.denominator, -1, p)
+                                     if isinstance(c, Fraction) else int(c)) % p
+            self._cadd = lambda a, b: (a + b) % p
+            self._cmul = lambda a, b: a * b % p
+            self._cneg = lambda a: -a % p
+        self._zero = self.coerce(0)
         self._src = {a.name: a.source for a in quiver.arrows}
         self._tgt = {a.name: a.target for a in quiver.arrows}
         self._out = {v: tuple(sorted(a.name for a in quiver.arrows if a.source == v))
@@ -78,25 +95,6 @@ class LeavittAlgebra:
                     for v in self.vertices}
         # Smallest arrow id at each non-sink: the CK junction pivot.
         self.special = {v: out[0] for v, out in self._out.items() if out}
-
-    # -- scalars ---------------------------------------------------------
-
-    def coerce(self, c):
-        if self.coeff_prime is None:
-            return c if isinstance(c, Fraction) else Fraction(c)
-        p = self.coeff_prime
-        if isinstance(c, Fraction):
-            return c.numerator * pow(c.denominator, -1, p) % p
-        return int(c) % p
-
-    def _cadd(self, a, b):
-        return (a + b) % self.coeff_prime if self.coeff_prime else a + b
-
-    def _cmul(self, a, b):
-        return (a * b) % self.coeff_prime if self.coeff_prime else a * b
-
-    def _cneg(self, a):
-        return (-a) % self.coeff_prime if self.coeff_prime else -a
 
     # -- paths -----------------------------------------------------------
 
@@ -181,19 +179,21 @@ class LeavittAlgebra:
         confluence tests); the default LIFO order is fixed so results
         are reproducible.
         """
-        pending = [(m, c) for m, c in terms]
+        pending = list(terms)
+        zero = self._zero
+        if len(pending) == 1 and self._is_normal(pending[0][0]):
+            mon, c = pending[0]
+            return {mon: c} if c != zero else {}
         done: dict = {}
         while pending:
-            idx = len(pending) - 1 if pick is None else pick(pending)
-            mon, c = pending.pop(idx)
+            mon, c = pending.pop() if pick is None else pending.pop(pick(pending))
             step = self._junction_expand(mon)
             if step is None:
-                acc = self._cadd(done.get(mon, self.coerce(0)), c)
-                done[mon] = acc
+                done[mon] = self._cadd(done.get(mon, zero), c)
             else:
-                for sign, m2 in step:
-                    pending.append((m2, self._cmul(self.coerce(sign), c)))
-        return {m: c for m, c in done.items() if c != self.coerce(0)}
+                neg = self._cneg(c)
+                pending.extend((m2, c if sign > 0 else neg) for sign, m2 in step)
+        return {m: c for m, c in done.items() if c != zero}
 
     # -- element constructors ---------------------------------------------
 
@@ -247,7 +247,7 @@ class Element:
         return tuple(sorted(self._terms.items(), key=lambda t: _sort_key(t[0])))
 
     def coefficient(self, mon: Monomial):
-        return self._terms.get(mon, self.algebra.coerce(0))
+        return self._terms.get(mon, self.algebra._zero)
 
     @property
     def is_zero(self) -> bool:
@@ -263,8 +263,8 @@ class Element:
         alg = self.algebra
         out = dict(self._terms)
         for m, c in other._terms.items():
-            s = alg._cadd(out.get(m, alg.coerce(0)), c)
-            if s == alg.coerce(0):
+            s = alg._cadd(out.get(m, alg._zero), c)
+            if s == alg._zero:
                 out.pop(m, None)
             else:
                 out[m] = s
@@ -281,7 +281,7 @@ class Element:
         alg = self.algebra
         if not isinstance(other, Element):
             c = alg.coerce(other)
-            if c == alg.coerce(0):
+            if c == alg._zero:
                 return alg.zero()
             return Element(alg, {m: alg._cmul(x, c) for m, x in self._terms.items()})
         self._check_partner(other)

@@ -6,7 +6,8 @@ renders them in the chosen format and turns failures into exit codes.
 Output is deterministic byte-for-byte for fixed input; errors go to
 stderr only.  Exit codes: 0 ok, 1 parse error (also an empty --from/--to
 window), 2 quiver has sources, 3 bad modulus, 4 work bound exceeded
-(a filtration level past its size limit, split --n above 10^5).
+(a filtration level past its size limit, split --n above 10^5, a
+--from/--to window of more than 10^4 degrees).
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import warnings
 
 from .algebra import LeavittAlgebra, render_element
 from .element_syntax import ElementSyntaxError, parse_element
-from .filtration import (block_profile, expected_inclusion_matrix,
-                         expected_phi_matrix, filtration_span_dim,
-                         inclusion_k0_matrix, phi_k0_matrix)
+from .filtration import (_stage_report, expected_inclusion_matrix,
+                         expected_phi_matrix)
 from .groups import Modulus, SizeLimitError
 from .ktheory import (DEFAULT_WINDOW, divisibility_report, mod_l_ktheory,
                       moore_splitting_check)
@@ -191,10 +191,7 @@ def _cmd_filtration(args) -> list:
     n = args.level
     if n < 0:
         raise _CliError(EXIT_PARSE, "level must be nonnegative")
-    profile = block_profile(q, n)
-    dim = filtration_span_dim(q, n)
-    incl = inclusion_k0_matrix(q, n)
-    phi = phi_k0_matrix(q, n)
+    profile, dim, incl, phi = _stage_report(q, n)
     rows = [("level", str(n), f"level {n}: {profile.count} blocks"),
             ("blocks", str(profile.count), None)]
     for b in profile.blocks:

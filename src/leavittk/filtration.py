@@ -20,6 +20,7 @@ counting formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import LeavittAlgebra, Monomial, _paths_by_target, _sort_key, \
     corner_data, corner_phi
@@ -84,9 +85,7 @@ def block_profile(q: OrderedQuiver, n: int) -> BlockProfile:
     return BlockProfile(level=n, blocks=blocks)
 
 
-def _spanning_monomials(alg: LeavittAlgebra, q: OrderedQuiver, n: int,
-                        limit: int):
-    by_target = _paths_by_target(alg, n, limit)
+def _spanning_monomials(q: OrderedQuiver, n: int, by_target, limit: int):
     monomials = []
     for m, w in _block_labels(q, n):
         paths = by_target[m].get(w, ())
@@ -98,39 +97,60 @@ def _spanning_monomials(alg: LeavittAlgebra, q: OrderedQuiver, n: int,
     return monomials
 
 
+# The field F_p in which the span is first reduced: the largest prime
+# below 2^31, so products of two residues stay small machine-sized ints.
+SPAN_PRIME = 2 ** 31 - 1
+
+
+def _span_rank(alg: LeavittAlgebra, monomials) -> int:
+    """Rank of the normal forms of `monomials` over alg's coefficients,
+    by sparse elimination on leading monomials."""
+    one, zero = alg.coerce(1), alg._zero
+    add, mul, neg = alg._cadd, alg._cmul, alg._cneg
+    pivots: dict = {}
+    for mon in monomials:
+        row = alg._normalize([(mon, one)])
+        while row:
+            lead = max(row, key=_sort_key) if len(row) > 1 else next(iter(row))
+            if lead not in pivots:
+                if row[lead] != one:
+                    inv = alg.coerce(Fraction(1, row[lead]))
+                    row = {k: mul(c, inv) for k, c in row.items()}
+                pivots[lead] = row
+                break
+            factor = neg(row[lead])
+            for k, c in pivots[lead].items():
+                s = add(row.get(k, zero), mul(factor, c))
+                if s == zero:
+                    row.pop(k, None)
+                else:
+                    row[k] = s
+    return len(pivots)
+
+
 def filtration_span_dim(q: OrderedQuiver, n: int, limit: int = 60000) -> int:
     """Dimension of stage n, computed by reducing its spanning set.
 
     Every spanning monomial is rewritten to normal form and the rank of
-    the resulting coefficient rows is taken by sparse elimination over
-    the rationals, so this really measures the span and not the count.
+    the resulting coefficient rows is taken by sparse elimination, so
+    this really measures the span and not the count.  The rewriting has
+    integer coefficients and the normal monomials are a basis over every
+    field, so rank over F_p <= rank over Q <= size of the spanning set:
+    an F_p rank equal to that size proves the rational rank.  Otherwise
+    the rows are reduced again over the rationals (see README).
     """
     q = as_ordered(q)
     require_no_sources(q)
-    alg = LeavittAlgebra(q)
-    monomials = _spanning_monomials(alg, q, n, limit)
-    pivots: dict = {}
-    rank = 0
-    for mon in monomials:
-        row = dict(alg._normalize([(mon, alg.coerce(1))]))
-        while row:
-            lead = max(row, key=_sort_key)
-            if lead not in pivots:
-                inv = 1 / row[lead]
-                pivots[lead] = {k: c * inv for k, c in row.items()}
-                rank += 1
-                break
-            factor = row[lead]
-            for k, c in pivots[lead].items():
-                s = row.get(k, alg.coerce(0)) - factor * c
-                if s == 0:
-                    row.pop(k, None)
-                else:
-                    row[k] = s
-    return rank
+    field = LeavittAlgebra(q, coeff_prime=SPAN_PRIME)
+    monomials = _spanning_monomials(q, n, _paths_by_target(field, n, limit),
+                                    limit)
+    rank = _span_rank(field, monomials)
+    if rank == len(monomials):
+        return rank
+    return _span_rank(LeavittAlgebra(q), monomials)
 
 
-def _least_path(alg: LeavittAlgebra, by_target, length: int, vertex: str):
+def _least_path(by_target, length: int, vertex: str):
     paths = by_target[length].get(vertex, ())
     if not paths:
         raise AssertionError(
@@ -138,62 +158,42 @@ def _least_path(alg: LeavittAlgebra, by_target, length: int, vertex: str):
     return paths[0]
 
 
-def inclusion_k0_matrix(q: OrderedQuiver, n: int, limit: int = 60000) -> IntMatrix:
-    """Transition matrix of stage n inside stage n+1 on idempotent classes.
-
-    Sink-block idempotents are carried along unchanged; the minimal
-    idempotent s.s* of a non-sink block splits as the sum of (s a)(s a)*
-    over the arrows a leaving its endpoint, and the summands are counted
-    by the block they land in.  The splitting identity itself is checked
-    by the rewriting engine before anything is counted.
-    """
+def _stage(q: OrderedQuiver, n: int, limit: int) -> tuple:
+    """What the stage-n transition matrices share: the ordered quiver,
+    one rational algebra, its path table up to length n, and the
+    stage-n and stage-(n+1) block profiles."""
     q = as_ordered(q)
     require_no_sources(q)
     alg = LeavittAlgebra(q)
     src = block_profile(q, n)
-    dst = block_profile(q, n + 1)
-    by_target = _paths_by_target(alg, n, limit)
+    return q, alg, _paths_by_target(alg, n, limit), src, block_profile(q, n + 1)
+
+
+def _inclusion(q, alg, by_target, src, dst) -> IntMatrix:
+    n = src.level
     rows = [[0] * src.count for _ in range(dst.count)]
     for col, block in enumerate(src.blocks):
-        sigma = _least_path(alg, by_target, block.level, block.vertex)
+        sigma = _least_path(by_target, block.level, block.vertex)
         u = Monomial(sigma, sigma)
         if q.is_sink(block.vertex):
             rows[dst.index_of(block.level, block.vertex)][col] += 1
             continue
-        parts = []
-        for a in alg._out[block.vertex]:
-            ext = alg.path(list(sigma.arrows) + [a]) if sigma.arrows \
-                else alg.path([a])
-            parts.append(Monomial(ext, ext))
-        total = alg.zero()
-        for p in parts:
-            total = total + alg.element([(p, 1)])
-        if total != alg.element([(u, 1)]):
+        exts = [alg.path(sigma.arrows + (a,)) for a in alg._out[block.vertex]]
+        if alg.element([(Monomial(e, e), 1) for e in exts]) \
+                != alg.element([(u, 1)]):
             raise AssertionError("idempotent splitting failed symbolically")
-        for p in parts:
-            rows[dst.index_of(n + 1, p.left.target)][col] += 1
+        for e in exts:
+            rows[dst.index_of(n + 1, e.target)][col] += 1
     return IntMatrix(rows)
 
 
-def phi_k0_matrix(q: OrderedQuiver, n: int, limit: int = 60000) -> IntMatrix:
-    """Effect of the corner endomorphism on stage-n idempotent classes.
-
-    Each block's minimal idempotent u is pushed through t+ . u . t- with
-    plain monomial products; the result must be a single unreduced
-    monomial, whose block at stage n+1 receives the count.
-    """
-    q = as_ordered(q)
-    require_no_sources(q)
-    alg = LeavittAlgebra(q)
+def _phi(q, alg, by_target, src, dst) -> IntMatrix:
     corner = corner_data(alg)
-    src = block_profile(q, n)
-    dst = block_profile(q, n + 1)
-    by_target = _paths_by_target(alg, n, limit)
     tplus = list(corner.t_plus.terms())
     tminus = list(corner.t_minus.terms())
     rows = [[0] * src.count for _ in range(dst.count)]
     for col, block in enumerate(src.blocks):
-        sigma = _least_path(alg, by_target, block.level, block.vertex)
+        sigma = _least_path(by_target, block.level, block.vertex)
         u = Monomial(sigma, sigma)
         raw = []
         for m1, c1 in tplus:
@@ -214,6 +214,37 @@ def phi_k0_matrix(q: OrderedQuiver, n: int, limit: int = 60000) -> IntMatrix:
             raise AssertionError("corner endomorphism mismatch")
         rows[dst.index_of(block.level + 1, image.left.target)][col] += 1
     return IntMatrix(rows)
+
+
+def inclusion_k0_matrix(q: OrderedQuiver, n: int, limit: int = 60000) -> IntMatrix:
+    """Transition matrix of stage n inside stage n+1 on idempotent classes.
+
+    Sink-block idempotents are carried along unchanged; the minimal
+    idempotent s.s* of a non-sink block splits as the sum of (s a)(s a)*
+    over the arrows a leaving its endpoint, and the summands are counted
+    by the block they land in.  The splitting identity itself is checked
+    by the rewriting engine before anything is counted.
+    """
+    return _inclusion(*_stage(q, n, limit))
+
+
+def phi_k0_matrix(q: OrderedQuiver, n: int, limit: int = 60000) -> IntMatrix:
+    """Effect of the corner endomorphism on stage-n idempotent classes.
+
+    Each block's minimal idempotent u is pushed through t+ . u . t- with
+    plain monomial products; the result must be a single unreduced
+    monomial, whose block at stage n+1 receives the count.
+    """
+    return _phi(*_stage(q, n, limit))
+
+
+def _stage_report(q: OrderedQuiver, n: int, limit: int = 60000) -> tuple:
+    """(stage-n profile, span dimension, inclusion matrix, phi matrix) of
+    one `filtration` request, with the algebra and profiles built once."""
+    stage = _stage(q, n, limit)
+    q, _, _, profile, _ = stage
+    return (profile, filtration_span_dim(q, n, limit), _inclusion(*stage),
+            _phi(*stage))
 
 
 def expected_inclusion_matrix(q: OrderedQuiver, n: int) -> IntMatrix:
@@ -248,10 +279,9 @@ def stabilized_block_difference(q: OrderedQuiver, n: int,
     What remains is supported on the top-level labels and must equal
     the matrix produced by :func:`leavittk.ktheory.leavitt_matrix`.
     """
-    q = as_ordered(q)
-    diff = phi_k0_matrix(q, n, limit) - inclusion_k0_matrix(q, n, limit)
-    src = block_profile(q, n)
-    dst = block_profile(q, n + 1)
+    stage = _stage(q, n, limit)
+    q, _, _, src, dst = stage
+    diff = _phi(*stage) - _inclusion(*stage)
     keep_cols = [i for i, b in enumerate(src.blocks) if not q.is_sink(b.vertex)]
     keep_rows = [i for i, b in enumerate(dst.blocks) if b.level == n + 1]
     return diff.permuted(keep_rows, keep_cols)
@@ -260,6 +290,7 @@ def stabilized_block_difference(q: OrderedQuiver, n: int,
 __all__ = [
     "Block",
     "BlockProfile",
+    "SPAN_PRIME",
     "block_profile",
     "expected_inclusion_matrix",
     "expected_phi_matrix",

@@ -151,8 +151,6 @@ class FinAbGroup:
     @classmethod
     def cyclic(cls, d: int) -> "FinAbGroup":
         """Z/d; d = 0 means Z, d = 1 the trivial group."""
-        if d == 0:
-            return cls(1, ())
         return cls.from_cyclic_orders([d])
 
     @classmethod
@@ -160,19 +158,23 @@ class FinAbGroup:
         """Normal form of a direct sum of cyclic groups.
 
         Order 0 stands for Z and order 1 for the trivial summand.  Each
-        order is factorized into its primary parts, so coprime factors
-        merge and the divisibility chain always holds.
+        order merges into the chain from the top by Z/c (+) Z/d =
+        Z/lcm (+) Z/gcd (Cohen, GTM 138, 2.4), so nothing is factorized.
         """
-        rank = 0
-        parts: dict = {}
+        rank, chain = 0, []
         for d in orders:
             d = abs(int(d))
             if d == 0:
                 rank += 1
-            elif d > 1:
-                for p, e in factorize(d):
-                    parts.setdefault(p, []).append(e)
-        return cls.from_primary_parts(rank, parts)
+                continue
+            i = len(chain)  # the gcd moves down until the entry below divides it
+            while i and d > 1 and d % chain[i - 1]:
+                i -= 1
+                g = gcd(chain[i], d)
+                chain[i], d = chain[i] // g * d, g
+            if d > 1:
+                chain.insert(i, d)
+        return cls(rank, tuple(chain))
 
     @classmethod
     def from_primary_parts(cls, free_rank: int, parts: dict) -> "FinAbGroup":

@@ -113,6 +113,19 @@ def _table(matrix: IntMatrix, modulus: Modulus, n_min: int, n_max: int,
                        window=(n_min, n_max))
 
 
+_WINDOW_BOUND = 10 ** 4
+
+
+def _check_window(n_min: int, n_max: int):
+    """ValueError for an empty window, SizeLimitError for one of more
+    than 10^4 degrees."""
+    if n_min > n_max:
+        raise ValueError("empty degree window")
+    if n_max - n_min >= _WINDOW_BOUND:
+        raise SizeLimitError(f"degree window holds at most {_WINDOW_BOUND} "
+                             f"degrees, got {n_max - n_min + 1}")
+
+
 def mod_l_ktheory(q: OrderedQuiver, modulus: Modulus,
                   n_min: int = DEFAULT_WINDOW[0],
                   n_max: int = DEFAULT_WINDOW[1]) -> KGroupTable:
@@ -123,10 +136,10 @@ def mod_l_ktheory(q: OrderedQuiver, modulus: Modulus,
     Z/p^e per prime power of m.
     Composite moduli are accepted but flagged: the cyclic coefficient
     input is only established for prime powers, so composite tables are
-    formal CRT extensions.
+    formal CRT extensions.  A window of more than 10^4 degrees raises
+    SizeLimitError.
     """
-    if n_min > n_max:
-        raise ValueError("empty degree window")
+    _check_window(n_min, n_max)
     return _table(leavitt_matrix(q), modulus, n_min, n_max)
 
 
@@ -395,13 +408,15 @@ def moore_splitting_check(n: int, modulus: Modulus,
                           n_min: int = DEFAULT_WINDOW[0],
                           n_max: int = DEFAULT_WINDOW[1]) -> SplitCheckResult:
     """Compare the rose on n+1 petals against the degreewise direct sum
-    over the roses of its prime-power factors.  n above 10^5 raises
-    SizeLimitError before n is factorized or any rose is built."""
+    over the roses of its prime-power factors.  n above 10^5, or a
+    window of more than 10^4 degrees, raises SizeLimitError before n is
+    factorized or any rose is built."""
     if n < 2:
         raise ValueError("splitting check needs n >= 2")
     if n > _SPLIT_BOUND:
         raise SizeLimitError(f"splitting check needs n <= {_SPLIT_BOUND}, "
                              f"got {n}")
+    _check_window(n_min, n_max)
     factors = tuple(p ** e for p, e in factorize(n))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

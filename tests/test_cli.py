@@ -131,6 +131,29 @@ class TestExitCodes:
         assert err == f"work bound exceeded: splitting check needs " \
                       f"n <= 100000, got {n}\n"
 
+    @pytest.mark.parametrize("command", [["kmod", quiver_path("rose2.q")],
+                                         ["split", "--n", "6"]])
+    def test_wide_window_exit_four(self, command):
+        got = call_within(2, lambda: run_cli(
+            command + ["--mod", "4", "--from", "0", "--to", "100000000"]))
+        assert got is not None
+        code, out, err = got
+        assert code == 4 and out == ""
+        assert err == "work bound exceeded: degree window holds at most " \
+                      "10000 degrees, got 100000001\n"
+
+    @pytest.mark.parametrize("command,degree_line", [
+        (["kmod", quiver_path("rose2.q")], "K_{%d}("),
+        (["split", "--n", "6"], "degree %d:")])
+    def test_widest_window_runs(self, command, degree_line):
+        code, out, _ = run_cli(command + ["--mod", "4", "--from", "0",
+                                          "--to", "9999"])
+        assert code == 0
+        lines = [line for line in out.splitlines() if line[0] in "Kd"]
+        assert len(lines) == 10 ** 4
+        assert all(line.startswith(degree_line % n)
+                   for n, line in enumerate(lines))
+
     @pytest.mark.parametrize("command", [["kmod", quiver_path("rose1.q")],
                                          ["split", "--n", "6"]])
     def test_empty_window_exit_one(self, command):

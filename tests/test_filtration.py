@@ -1,10 +1,14 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from helpers import jacobson_quiver, random_no_source_quiver, rose, \
     toeplitz_quiver
-from leavittk.filtration import (block_profile, expected_inclusion_matrix,
+from leavittk import cli, filtration
+from leavittk.algebra import LeavittAlgebra, _paths_by_target
+from leavittk.filtration import (SPAN_PRIME, block_profile,
+                                 expected_inclusion_matrix,
                                  expected_phi_matrix, filtration_span_dim,
                                  inclusion_k0_matrix, phi_k0_matrix,
                                  stabilized_block_difference)
@@ -12,6 +16,8 @@ from leavittk.groups import SizeLimitError
 from leavittk.ktheory import leavitt_matrix
 from leavittk.matrices import IntMatrix
 from leavittk.quiver import SourcesPresentError, order_sinks_first, parse_quiver
+
+DATA = Path(__file__).parent / "data"
 
 FIXTURE_QUIVERS = [
     toeplitz_quiver(),
@@ -80,6 +86,79 @@ class TestSpanDimension:
     def test_guard(self):
         with pytest.raises(SizeLimitError):
             filtration_span_dim(rose(4), 3, limit=50)
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Patch LeavittAlgebra.__init__ and filtration.block_profile to count
+    calls: "Q" and "F_p" algebra builds, and "profiles"."""
+    counts = {"Q": 0, "F_p": 0, "profiles": 0}
+    init, profile = LeavittAlgebra.__init__, filtration.block_profile
+
+    def counting_init(self, quiver, coeff_prime=None):
+        counts["Q" if coeff_prime is None else "F_p"] += 1
+        init(self, quiver, coeff_prime)
+
+    def counting_profile(q, n):
+        counts["profiles"] += 1
+        return profile(q, n)
+
+    monkeypatch.setattr(LeavittAlgebra, "__init__", counting_init)
+    monkeypatch.setattr(filtration, "block_profile", counting_profile)
+    return counts
+
+
+class TestSpanOverPrimeField:
+    """The span is reduced over F_p first; only a rank short of the
+    spanning-set size sends it to the rational route."""
+
+    def test_short_prime_rank_falls_back_to_rationals(self, monkeypatch):
+        """The patched ranks come up 1 short over F_p and 2 short over Q,
+        so only the rational route's value can come back."""
+        rank = filtration._span_rank
+        routes = []
+
+        def short_ranks(alg, monomials):
+            routes.append(alg.coeff_prime)
+            return rank(alg, monomials) - (1 if alg.coeff_prime else 2)
+
+        monkeypatch.setattr(filtration, "_span_rank", short_ranks)
+        q = jacobson_quiver(2)
+        assert filtration_span_dim(q, 2) \
+            == block_profile(q, 2).sum_of_squares - 2
+        assert routes == [SPAN_PRIME, None]
+
+    def test_full_rank_builds_no_rational_algebra(self, monkeypatch):
+        q = jacobson_quiver(2)
+        want = block_profile(q, 3).sum_of_squares
+        counts = _count_builds(monkeypatch)
+        assert filtration_span_dim(q, 3) == want
+        assert counts == {"Q": 0, "F_p": 1, "profiles": 0}
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.q")))
+    def test_prime_and_rational_ranks_agree(self, name):
+        q = order_sinks_first(parse_quiver((DATA / name).read_text()))
+        for n in range(4):
+            field, rational = LeavittAlgebra(q, SPAN_PRIME), LeavittAlgebra(q)
+            monomials = filtration._spanning_monomials(
+                q, n, _paths_by_target(rational, n, 60000), 60000)
+            rank = filtration._span_rank(rational, monomials)
+            assert filtration._span_rank(field, monomials) == rank
+            assert filtration_span_dim(q, n) == rank
+
+
+class TestBuildsOncePerCall:
+    def test_filtration_command(self, monkeypatch, capsys):
+        counts = _count_builds(monkeypatch)
+        assert cli.main(["filtration", str(DATA / "jacobson2.q"),
+                         "--level", "3"]) == 0
+        assert "dimension match: OK" in capsys.readouterr().out
+        assert counts == {"Q": 1, "F_p": 1, "profiles": 2}
+
+    def test_stabilized_block_difference(self, monkeypatch):
+        counts = _count_builds(monkeypatch)
+        q = jacobson_quiver(2)
+        assert stabilized_block_difference(q, 3) == leavitt_matrix(q)
+        assert counts == {"Q": 1, "F_p": 0, "profiles": 2}
 
 
 class TestTransitionMatrices:

@@ -54,6 +54,24 @@ class TestFinAbGroup:
         assert str(G(2, 4)) == "Z/2 (+) Z/4"
         assert str(G(0, 5)) == "Z (+) Z/5"
 
+    def test_large_coprime_orders_merge_without_factoring(self):
+        big = (10 ** 9 + 7) * (10 ** 9 + 9)
+        got = call_within(2, lambda: FinAbGroup(0, (big,)).direct_sum(
+            FinAbGroup(0, (2,))))
+        assert got == FinAbGroup(0, (2 * big,))
+
+    def test_merge_matches_primary_parts(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            orders = [rng.choice([0, 1, rng.randint(2, 5000)])
+                      for _ in range(rng.randint(0, 6))]
+            parts: dict = {}
+            for d in orders:
+                for p, e in factorize(d) if d else ():
+                    parts.setdefault(p, []).append(e)
+            assert FinAbGroup.from_cyclic_orders(orders) == \
+                FinAbGroup.from_primary_parts(orders.count(0), parts), orders
+
     def test_direct_sum_fixtures(self):
         assert G(2).direct_sum(G(3)) == G(6)
         assert G(2).direct_sum(G(4)).torsion == (2, 4)
