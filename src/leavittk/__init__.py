@@ -19,8 +19,7 @@ from .ktheory import (CoefficientTheory, DegreeData, DivisibilityReport,
                       les_table_for_quiver, mod_l_ktheory,
                       moore_splitting_check, rose_quiver, suslin_coefficients,
                       uct_order_check)
-from .matrices import (IntMatrix, SmithDecomposition, invariant_factors,
-                       matrix_rank, smith_normal_form)
+from .matrices import IntMatrix, SmithDecomposition, smith_normal_form
 from .quiver import (Arrow, OrderedQuiver, Quiver, QuiverParseError,
                      SourcesPresentError, as_ordered, check_no_sources,
                      incidence_matrix, order_sinks_first, parse_quiver,

@@ -134,11 +134,6 @@ class LeavittAlgebra:
 
     # -- monomials ---------------------------------------------------------
 
-    def monomial(self, left: Path, right: Path) -> Monomial:
-        if left.target != right.target:
-            raise ValueError("monomial sides must share their endpoint")
-        return Monomial(left, right)
-
     def _is_normal(self, mon: Monomial) -> bool:
         la, ra = mon.left.arrows, mon.right.arrows
         if not la or not ra or la[-1] != ra[-1]:
@@ -466,22 +461,25 @@ def verify_corner_axioms(alg: "LeavittAlgebra | Quiver | OrderedQuiver",
     return CornerAxiomReport(checks=tuple(checks))
 
 
+_BASIS_LIMIT = 20000
+
+
 def enumerate_basis(alg: "LeavittAlgebra | Quiver | OrderedQuiver",
-                    max_path_len: int, limit: int = 20000) -> list:
+                    max_path_len: int) -> list:
     """All normal-form monomials with both sides of length <= max_path_len.
 
     Deterministic order; raises SizeLimitError when the candidate count
-    would exceed `limit`.
+    would exceed 20000.
     """
     alg = _as_algebra(alg)
-    by_target = _paths_by_target(alg, max_path_len, limit)
+    by_target = _paths_by_target(alg, max_path_len, _BASIS_LIMIT)
     out = []
     for w in alg.vertices:
         pool = [p for length in range(max_path_len + 1)
                 for p in by_target[length].get(w, ())]
-        if len(pool) ** 2 > limit:
+        if len(pool) ** 2 > _BASIS_LIMIT:
             raise SizeLimitError(
-                f"basis enumeration would exceed {limit} monomials")
+                f"basis enumeration would exceed {_BASIS_LIMIT} monomials")
         for left in pool:
             for right in pool:
                 mon = Monomial(left, right)

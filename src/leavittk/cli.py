@@ -41,7 +41,7 @@ def _load_quiver(path: str) -> OrderedQuiver:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
     try:
         return order_sinks_first(parse_quiver(text))
@@ -178,11 +178,14 @@ def _cmd_analyze(args) -> list:
 
 def _cmd_algebra(args) -> list:
     value = parse_element(LeavittAlgebra(_load_quiver(args.quiver)), args.eval)
-    form = render_element(value)
-    rows = [("normal_form", form, f"normal form: {form}")]
-    for degree, part in value.degree_components().items():
-        form = render_element(part)
-        rows.append((f"degree_{degree}", form, f"degree {degree}: {form}"))
+    try:
+        form = render_element(value)
+        rows = [("normal_form", form, f"normal form: {form}")]
+        for degree, part in value.degree_components().items():
+            form = render_element(part)
+            rows.append((f"degree_{degree}", form, f"degree {degree}: {form}"))
+    except ValueError as exc:  # a coefficient past Python's int-to-str limit
+        raise _CliError(EXIT_WORK, f"cannot print the result: {exc}")
     return rows
 
 

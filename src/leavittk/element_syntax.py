@@ -27,6 +27,18 @@ class ElementSyntaxError(ValueError):
 
 
 _SYMBOLS = {"+", "-", ".", "*", "(", ")"}
+# Four parser frames per parenthesis: this keeps clear of the
+# interpreter's recursion limit.
+_MAX_NESTING = 100
+
+
+def _integer(text: str, i: int, j: int) -> int:
+    """int(text[i:j]), or a syntax error when it has more digits than
+    int() accepts (sys.get_int_max_str_digits())."""
+    try:
+        return int(text[i:j])
+    except ValueError:
+        raise ElementSyntaxError(i, f"a number of {j - i} digits is too long")
 
 
 def _tokenize(text: str):
@@ -42,24 +54,26 @@ def _tokenize(text: str):
             tokens.append((ch, ch, i, ch))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == "/":
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k].isdecimal():
                     k += 1
                 if k == j + 1:
                     raise ElementSyntaxError(j, "expected digits after '/'")
-                denominator = int(text[j + 1:k])
+                denominator = _integer(text, j + 1, k)
                 if denominator == 0:
                     raise ElementSyntaxError(j, "division by zero")
-                tokens.append(("num", Fraction(int(text[i:j]), denominator), i,
+                numerator = _integer(text, i, j)
+                tokens.append(("num", Fraction(numerator, denominator), i,
                                text[i:k]))
                 i = k
             else:
-                tokens.append(("num", Fraction(int(text[i:j])), i, text[i:j]))
+                tokens.append(("num", Fraction(_integer(text, i, j)), i,
+                               text[i:j]))
                 i = j
             continue
         if ch.isalnum() or ch == "_":
@@ -79,6 +93,7 @@ class _Parser:
         self.alg = alg
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -144,8 +159,13 @@ class _Parser:
         if kind == "num":
             return value
         if kind == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ElementSyntaxError(
+                    pos, f"more than {_MAX_NESTING} nested parentheses")
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if kind == "id":
             if value == "e" and self.peek()[0] == "(":

@@ -57,6 +57,29 @@ class BlockProfile:
         raise KeyError((level, vertex))
 
 
+# The work bound of one filtration stage: at most this many spanning
+# monomials, paths or path arrows in the path table, and K0-matrix cells.
+_SPAN_LIMIT = 60000
+
+
+def _check_level(q: OrderedQuiver, n: int) -> None:
+    """Refuse level n before any per-level work.
+
+    ValueError when n is negative.  SizeLimitError when the stage-n K0
+    matrices would pass the bound, with B(n) * B(n+1) cells for
+    B(n) = (n+1)v' + v - v' blocks, or the path table would, with at
+    least v * n(n+1)/2 arrows: a quiver with no sources has a path of
+    every length into every vertex.
+    """
+    if n < 0:
+        raise ValueError("filtration level must be nonnegative")
+    cells = ((n + 1) * q.v_prime + q.v - q.v_prime) \
+        * ((n + 2) * q.v_prime + q.v - q.v_prime)
+    if max(cells, q.v * n * (n + 1) // 2) > _SPAN_LIMIT:
+        raise SizeLimitError(f"filtration level {n} would exceed "
+                             f"{_SPAN_LIMIT} matrix cells or path arrows")
+
+
 def _block_labels(q: OrderedQuiver, n: int) -> list:
     """(level, vertex) labels of the stage-n blocks, sorted by level and
     vertex position: every level for a sink, level n for a non-sink."""
@@ -75,8 +98,7 @@ def block_profile(q: OrderedQuiver, n: int) -> BlockProfile:
     """
     q = as_ordered(q)
     require_no_sources(q)
-    if n < 0:
-        raise ValueError("filtration level must be nonnegative")
+    _check_level(q, n)
     # sizes[m][j] = number of length-m paths into vertex j (column sums)
     sizes = [[sum(col) for col in zip(*path_count_matrix(q, m).tolists())]
              for m in range(n + 1)]
@@ -85,12 +107,13 @@ def block_profile(q: OrderedQuiver, n: int) -> BlockProfile:
     return BlockProfile(level=n, blocks=blocks)
 
 
-def _spanning_monomials(q: OrderedQuiver, n: int, by_target, limit: int):
+def _spanning_monomials(q: OrderedQuiver, n: int, by_target):
     monomials = []
     for m, w in _block_labels(q, n):
         paths = by_target[m].get(w, ())
-        if len(monomials) + len(paths) ** 2 > limit:
-            raise SizeLimitError(f"spanning set would exceed {limit} monomials")
+        if len(monomials) + len(paths) ** 2 > _SPAN_LIMIT:
+            raise SizeLimitError(
+                f"spanning set would exceed {_SPAN_LIMIT} monomials")
         for left in paths:
             for right in paths:
                 monomials.append(Monomial(left, right))
@@ -128,7 +151,7 @@ def _span_rank(alg: LeavittAlgebra, monomials) -> int:
     return len(pivots)
 
 
-def filtration_span_dim(q: OrderedQuiver, n: int, limit: int = 60000) -> int:
+def filtration_span_dim(q: OrderedQuiver, n: int) -> int:
     """Dimension of stage n, computed by reducing its spanning set.
 
     Every spanning monomial is rewritten to normal form and the rank of
@@ -141,9 +164,10 @@ def filtration_span_dim(q: OrderedQuiver, n: int, limit: int = 60000) -> int:
     """
     q = as_ordered(q)
     require_no_sources(q)
+    _check_level(q, n)
     field = LeavittAlgebra(q, coeff_prime=SPAN_PRIME)
-    monomials = _spanning_monomials(q, n, _paths_by_target(field, n, limit),
-                                    limit)
+    monomials = _spanning_monomials(q, n,
+                                    _paths_by_target(field, n, _SPAN_LIMIT))
     rank = _span_rank(field, monomials)
     if rank == len(monomials):
         return rank
@@ -158,15 +182,15 @@ def _least_path(by_target, length: int, vertex: str):
     return paths[0]
 
 
-def _stage(q: OrderedQuiver, n: int, limit: int) -> tuple:
+def _stage(q: OrderedQuiver, n: int) -> tuple:
     """What the stage-n transition matrices share: the ordered quiver,
     one rational algebra, its path table up to length n, and the
-    stage-n and stage-(n+1) block profiles."""
+    stage-n and stage-(n+1) block profiles, whose level checks come
+    before the algebra is built."""
     q = as_ordered(q)
-    require_no_sources(q)
+    src, dst = block_profile(q, n), block_profile(q, n + 1)
     alg = LeavittAlgebra(q)
-    src = block_profile(q, n)
-    return q, alg, _paths_by_target(alg, n, limit), src, block_profile(q, n + 1)
+    return q, alg, _paths_by_target(alg, n, _SPAN_LIMIT), src, dst
 
 
 def _inclusion(q, alg, by_target, src, dst) -> IntMatrix:
@@ -216,7 +240,7 @@ def _phi(q, alg, by_target, src, dst) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def inclusion_k0_matrix(q: OrderedQuiver, n: int, limit: int = 60000) -> IntMatrix:
+def inclusion_k0_matrix(q: OrderedQuiver, n: int) -> IntMatrix:
     """Transition matrix of stage n inside stage n+1 on idempotent classes.
 
     Sink-block idempotents are carried along unchanged; the minimal
@@ -225,25 +249,25 @@ def inclusion_k0_matrix(q: OrderedQuiver, n: int, limit: int = 60000) -> IntMatr
     by the block they land in.  The splitting identity itself is checked
     by the rewriting engine before anything is counted.
     """
-    return _inclusion(*_stage(q, n, limit))
+    return _inclusion(*_stage(q, n))
 
 
-def phi_k0_matrix(q: OrderedQuiver, n: int, limit: int = 60000) -> IntMatrix:
+def phi_k0_matrix(q: OrderedQuiver, n: int) -> IntMatrix:
     """Effect of the corner endomorphism on stage-n idempotent classes.
 
     Each block's minimal idempotent u is pushed through t+ . u . t- with
     plain monomial products; the result must be a single unreduced
     monomial, whose block at stage n+1 receives the count.
     """
-    return _phi(*_stage(q, n, limit))
+    return _phi(*_stage(q, n))
 
 
-def _stage_report(q: OrderedQuiver, n: int, limit: int = 60000) -> tuple:
+def _stage_report(q: OrderedQuiver, n: int) -> tuple:
     """(stage-n profile, span dimension, inclusion matrix, phi matrix) of
     one `filtration` request, with the algebra and profiles built once."""
-    stage = _stage(q, n, limit)
+    stage = _stage(q, n)
     q, _, _, profile, _ = stage
-    return (profile, filtration_span_dim(q, n, limit), _inclusion(*stage),
+    return (profile, filtration_span_dim(q, n), _inclusion(*stage),
             _phi(*stage))
 
 
@@ -272,14 +296,13 @@ def expected_phi_matrix(q: OrderedQuiver, n: int) -> IntMatrix:
     return IntMatrix.identity_below_zero(src_count + q.v_prime, src_count)
 
 
-def stabilized_block_difference(q: OrderedQuiver, n: int,
-                                limit: int = 60000) -> IntMatrix:
+def stabilized_block_difference(q: OrderedQuiver, n: int) -> IntMatrix:
     """phi minus inclusion, with all sink-level labels deleted.
 
     What remains is supported on the top-level labels and must equal
     the matrix produced by :func:`leavittk.ktheory.leavitt_matrix`.
     """
-    stage = _stage(q, n, limit)
+    stage = _stage(q, n)
     q, _, _, src, dst = stage
     diff = _phi(*stage) - _inclusion(*stage)
     keep_cols = [i for i, b in enumerate(src.blocks) if not q.is_sink(b.vertex)]

@@ -241,9 +241,6 @@ class FinAbGroup:
         return " (+) ".join(parts) if parts else "0"
 
 
-TRIVIAL = FinAbGroup.trivial()
-
-
 def kernel_cokernel(dec: SmithDecomposition, modulus: Modulus | None = None):
     """(kernel, cokernel) of the decomposed matrix, read off its one
     Smith form: as a map Z^cols -> Z^rows when modulus is None, else as
@@ -283,8 +280,8 @@ def cokernel_int(matrix: IntMatrix) -> FinAbGroup:
 
 
 def kernel_rank_int(matrix: IntMatrix) -> int:
-    """Rank of the (free) kernel of the map Z^cols -> Z^rows; builds no
-    cokernel, so no invariant factor is ever factorized."""
+    """Rank of the (free) kernel of the map Z^cols -> Z^rows: cols minus
+    the number of nonzero Smith invariants; builds no cokernel."""
     return matrix.cols - smith_normal_form(matrix).rank
 
 
@@ -486,7 +483,6 @@ __all__ = [
     "FinAbGroup",
     "Modulus",
     "SizeLimitError",
-    "TRIVIAL",
     "brute_force_mod_oracle",
     "cokernel_int",
     "cokernel_mod",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .groups import FinAbGroup, Modulus, SizeLimitError, factorize, \
@@ -194,8 +195,12 @@ class CoefficientTheory:
     degrees: tuple  # ((degree, DegreeData), ...)
     period: int | None = None
 
+    @cached_property
+    def _by_degree(self) -> dict:
+        return dict(self.degrees)
+
     def data_at(self, n: int) -> DegreeData:
-        table = dict(self.degrees)
+        table = self._by_degree
         if n in table:
             return table[n]
         if self.period:
@@ -235,8 +240,10 @@ def corner_les(theory: CoefficientTheory, n_min: int, n_max: int) -> list:
     Ambiguous extensions are reported with `resolved` unset rather than
     guessed; only order-forced cases are filled in.  Each distinct
     DegreeData is reduced once: over Z/m by local elimination, over Z
-    by its Smith form.
+    by its Smith form.  A window of more than 10^4 degrees raises
+    SizeLimitError.
     """
+    _check_window(n_min, n_max)
     read: dict = {}  # DegreeData -> (kernel, cokernel)
 
     def kernel_cokernel_of(data: DegreeData) -> tuple:
@@ -262,6 +269,7 @@ def suslin_coefficients(modulus: Modulus, phi_even: IntMatrix,
                         codomain_rank: int | None = None) -> CoefficientTheory:
     """Cyclic coefficients of an algebraically closed field: Z/m in even
     nonnegative degrees, zero elsewhere, with the given even-degree map."""
+    _check_window(n_min, n_max)
     zero_data = DegreeData(rank=0, phi=IntMatrix([]), modulus=modulus)
     degrees = []
     for n in range(n_min - 1, n_max + 1):

@@ -212,30 +212,9 @@ class SmithDecomposition:
         return True
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m, dst, src, c):
-    """row[dst] += c * row[src]"""
-    rs = m[src]
-    rd = m[dst]
-    for k in range(len(rd)):
-        rd[k] += c * rs[k]
-
-
 def _add_col(m, dst, src, c):
     for row in m:
         row[dst] += c * row[src]
-
-
-def _scale_row(m, i, c):
-    m[i] = [c * x for x in m[i]]
 
 
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
@@ -245,6 +224,12 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     nonzero absolute value, ties broken by lowest row then lowest column,
     which keeps intermediate entries small and the output reproducible.
 
+    The work is done on one table: row i of D carries row i of U to its
+    right, and the rows of V are stacked below D.  A row operation on the
+    first `rows` rows then updates D and U together, and a column
+    operation on the first `cols` columns updates D and V together, so
+    each elementary operation is written and applied once.
+
     >>> dec = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     >>> [dec.D[i, i] for i in range(2)]
     [2, 4]
@@ -252,16 +237,17 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     True
     """
     rows, cols = matrix.rows, matrix.cols
-    d = matrix.tolists()
-    u = IntMatrix.identity(rows).tolists()
-    v = IntMatrix.identity(cols).tolists()
+    table = [list(r) + [int(i == k) for k in range(rows)]
+             for i, r in enumerate(matrix.tolists())]
+    table += [[int(i == k) for k in range(cols)] for i in range(cols)]
 
     def pivot_at(t):
         best = None
         for i in range(t, rows):
             for j in range(t, cols):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
+                x = table[i][j]
+                if x != 0 and (best is None
+                               or abs(x) < abs(table[best[0]][best[1]])):
                     best = (i, j)
         return best
 
@@ -271,29 +257,23 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
         if pos is None:
             break
         i, j = pos
-        if i != t:
-            _swap_rows(d, t, i)
-            _swap_rows(u, t, i)
-        if j != t:
-            _swap_cols(d, t, j)
-            _swap_cols(v, t, j)
+        table[t], table[i] = table[i], table[t]
+        for row in table:
+            row[t], row[j] = row[j], row[t]
         # Clear column t, then row t; remainders force a smaller pivot on
         # the next pass, so this inner loop terminates.
         clean = True
-        p = d[t][t]
+        p = table[t][t]
         for i in range(t + 1, rows):
-            if d[i][t]:
-                q = d[i][t] // p
-                _add_row(d, i, t, -q)
-                _add_row(u, i, t, -q)
-                if d[i][t]:
+            if table[i][t]:
+                q = table[i][t] // p
+                table[i] = [x - q * y for x, y in zip(table[i], table[t])]
+                if table[i][t]:
                     clean = False
         for j in range(t + 1, cols):
-            if d[t][j]:
-                q = d[t][j] // p
-                _add_col(d, j, t, -q)
-                _add_col(v, j, t, -q)
-                if d[t][j]:
+            if table[t][j]:
+                _add_col(table, j, t, -(table[t][j] // p))
+                if table[t][j]:
                     clean = False
         if clean:
             t += 1
@@ -304,36 +284,28 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     while changed:
         changed = False
         for i in range(n - 1):
-            a, b = d[i][i], d[i + 1][i + 1]
+            a, b = table[i][i], table[i + 1][i + 1]
             if a != 0 and b % a != 0:
                 changed = True
                 j = i + 1
-                _add_col(d, i, j, 1)
-                _add_col(v, i, j, 1)
+                _add_col(table, i, j, 1)
                 # 2x2 unimodular row mix puts gcd(a, b) at (i, i).
                 g, x, y = _xgcd(a, b)
-                ri, rj = d[i], d[j]
-                d[i], d[j] = (
+                ri, rj = table[i], table[j]
+                table[i], table[j] = (
                     [x * p + y * q for p, q in zip(ri, rj)],
                     [(-b // g) * p + (a // g) * q for p, q in zip(ri, rj)],
                 )
-                ui, uj = u[i], u[j]
-                u[i], u[j] = (
-                    [x * p + y * q for p, q in zip(ui, uj)],
-                    [(-b // g) * p + (a // g) * q for p, q in zip(ui, uj)],
-                )
-                c = d[i][j] // g
-                _add_col(d, j, i, -c)
-                _add_col(v, j, i, -c)
+                _add_col(table, j, i, -(table[i][j] // g))
 
     for i in range(n):
-        if d[i][i] < 0:
-            _scale_row(d, i, -1)
-            _scale_row(u, i, -1)
+        if table[i][i] < 0:
+            table[i] = [-x for x in table[i]]
 
-    return SmithDecomposition(U=IntMatrix(u),
-                              D=IntMatrix._of(tuple(map(tuple, d)), cols),
-                              V=IntMatrix(v), matrix=matrix)
+    return SmithDecomposition(
+        U=IntMatrix(r[cols:] for r in table[:rows]),
+        D=IntMatrix._of(tuple(tuple(r[:cols]) for r in table[:rows]), cols),
+        V=IntMatrix(table[rows:]), matrix=matrix)
 
 
 def _xgcd(a: int, b: int):
@@ -351,18 +323,8 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def invariant_factors(matrix: IntMatrix) -> tuple:
-    return smith_normal_form(matrix).invariant_factors
-
-
-def matrix_rank(matrix: IntMatrix) -> int:
-    return smith_normal_form(matrix).rank
-
-
 __all__ = [
     "IntMatrix",
     "SmithDecomposition",
     "smith_normal_form",
-    "invariant_factors",
-    "matrix_rank",
 ]

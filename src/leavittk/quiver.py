@@ -51,17 +51,8 @@ class Quiver:
                    tuple(Arrow(*a) if not isinstance(a, Arrow) else a
                          for a in arrows))
 
-    def out_degree(self, v: str) -> int:
-        return sum(1 for a in self.arrows if a.source == v)
-
-    def in_degree(self, v: str) -> int:
-        return sum(1 for a in self.arrows if a.target == v)
-
     def is_sink(self, v: str) -> bool:
-        return self.out_degree(v) == 0
-
-    def sinks(self) -> tuple:
-        return tuple(v for v in self.vertices if self.is_sink(v))
+        return all(a.source != v for a in self.arrows)
 
 
 class NoSourceCheck(NamedTuple):
@@ -129,8 +120,9 @@ def order_sinks_first(q: "Quiver | OrderedQuiver") -> OrderedQuiver:
     """
     if isinstance(q, OrderedQuiver):
         q = q.as_quiver()
-    sinks = [v for v in q.vertices if q.is_sink(v)]
-    others = [v for v in q.vertices if not q.is_sink(v)]
+    sources = {a.source for a in q.arrows}
+    sinks = [v for v in q.vertices if v not in sources]
+    others = [v for v in q.vertices if v in sources]
     return OrderedQuiver(vertices=tuple(sinks + others), arrows=q.arrows,
                          num_sinks=len(sinks))
 

@@ -315,7 +315,7 @@ class TestEnumerateBasis:
     def test_guard(self):
         alg = LeavittAlgebra(rose(4))
         with pytest.raises(SizeLimitError):
-            enumerate_basis(alg, 5, limit=100)
+            enumerate_basis(alg, 5)
 
     def test_deterministic_order(self):
         alg = toeplitz_algebra()

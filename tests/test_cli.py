@@ -4,6 +4,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import call_within
 from leavittk.cli import main, parse_records
@@ -120,6 +122,42 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert "work bound exceeded" in err
+
+    @pytest.mark.parametrize("name,level", [
+        ("toeplitz.q", 4000)] + [(p.name, 10 ** 8) for p in DATA.glob("*.q")])
+    def test_filtration_level_bound_exit_four(self, name, level):
+        got = call_within(2, lambda: run_cli(
+            ["filtration", quiver_path(name), "--level", str(level)]))
+        assert got is not None
+        code, out, err = got
+        assert code == 4 and out == ""
+        assert err == f"work bound exceeded: filtration level {level} would " \
+                      f"exceed 60000 matrix cells or path arrows\n"
+
+    def test_undecodable_quiver_exit_one(self, tmp_path):
+        path = tmp_path / "latin1.q"
+        path.write_bytes(b"vertices caf\xe9\narrow a caf\xe9 caf\xe9\n")
+        code, out, err = run_cli(["kmod", str(path), "--mod", "4"])
+        assert code == 1 and out == ""
+        assert err.startswith(f"cannot read {path}: 'utf-8' codec")
+
+    @pytest.mark.parametrize("text,message", [
+        ("\u00b2", "position 0: unknown arrow '\u00b2'"),
+        ("1/\u00b2", "position 1: expected digits after '/'"),
+        ("9" * 5000, "position 0: a number of 5000 digits is too long"),
+        ("(" * 101 + "x" + ")" * 101,
+         "position 100: more than 100 nested parentheses")])
+    def test_bad_expression_exit_one(self, text, message):
+        code, out, err = run_cli(["algebra", quiver_path("rose2.q"),
+                                  "--eval", text])
+        assert (code, out, err) == (1, "", message + "\n")
+
+    def test_unprintable_coefficient_exit_four(self):
+        big = "9" * 3000
+        code, out, err = run_cli(["algebra", quiver_path("rose2.q"),
+                                  "--eval", f"{big} . {big} x"])
+        assert code == 4 and out == ""
+        assert err.startswith("cannot print the result: Exceeds the limit")
 
     @pytest.mark.parametrize("n", [(10 ** 9 + 7) * (10 ** 9 + 9), 10 ** 5 + 1])
     def test_split_bound_exit_four(self, n):
@@ -370,3 +408,35 @@ class TestUnfactorableModulus:
         assert time.perf_counter() - start < 2
         assert code == 3 and out == ""
         assert "bad modulus" in err and self.TWO_LARGE_PRIMES in err
+
+
+EXIT_CODES = {0, 1, 2, 3, 4}
+# Arbitrary bytes, and lines that build small quivers with and without
+# sources, mixed with a byte that is not UTF-8.
+QUIVER_BYTES = st.one_of(st.binary(max_size=80), st.lists(st.sampled_from([
+    b"vertices v w\n", b"vertices u\n", b"arrow a v w\n", b"arrow b w v\n",
+    b"arrow c w w\n", b"# x\n", b"\xe9", b"\n"]), max_size=8).map(b"".join))
+
+
+class TestNoTraceback:
+    """Whatever the input, cli.main returns a documented exit code."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=st.text(max_size=30),
+           name=st.sampled_from(["rose2.q", "jacobson2.q"]))
+    @example(text="\u00b2", name="rose2.q")
+    @example(text="1/\u00b2", name="jacobson2.q")
+    def test_any_expression(self, text, name):
+        # --eval=TEXT, so that argparse takes a leading '-' as the value
+        code, _, _ = run_cli(["algebra", quiver_path(name), f"--eval={text}"])
+        assert code in EXIT_CODES
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=QUIVER_BYTES)
+    @example(data=b"\xff")
+    def test_any_quiver_bytes(self, tmp_path, data):
+        path = tmp_path / "fuzz.q"
+        path.write_bytes(data)
+        code, _, _ = run_cli(["kmod", str(path), "--mod", "4"])
+        assert code in EXIT_CODES

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import jacobson_quiver, random_no_source_quiver, rose, \
-    toeplitz_quiver
+from helpers import call_within, jacobson_quiver, random_no_source_quiver, \
+    rose, toeplitz_quiver
 from leavittk import cli, filtration
 from leavittk.algebra import LeavittAlgebra, _paths_by_target
 from leavittk.filtration import (SPAN_PRIME, block_profile,
@@ -85,7 +85,37 @@ class TestSpanDimension:
 
     def test_guard(self):
         with pytest.raises(SizeLimitError):
-            filtration_span_dim(rose(4), 3, limit=50)
+            filtration_span_dim(rose(4), 4)
+
+
+DATA_QUIVERS = {p.name: order_sinks_first(parse_quiver(p.read_text()))
+                for p in sorted(DATA.glob("*.q"))}
+
+
+class TestLevelBound:
+    """A level past the work bound is refused before any per-level loop."""
+
+    @pytest.mark.parametrize("name", DATA_QUIVERS)
+    def test_huge_level_refused(self, name):
+        q = DATA_QUIVERS[name]
+        for fn in (block_profile, filtration_span_dim, inclusion_k0_matrix,
+                   phi_k0_matrix, stabilized_block_difference):
+            got = call_within(2, lambda: fn(q, 10 ** 8))
+            assert isinstance(got, SizeLimitError), fn.__name__
+
+    def test_long_paths_refused(self):
+        # one path of every length: the path table alone would hold about
+        # 1.8e9 arrows
+        got = call_within(2, lambda: filtration_span_dim(rose(1), 59999))
+        assert isinstance(got, SizeLimitError)
+
+    @pytest.mark.parametrize("name", DATA_QUIVERS)
+    def test_low_levels_run(self, name):
+        q = DATA_QUIVERS[name]
+        for n in range(6):
+            assert block_profile(q, n).level == n
+            assert inclusion_k0_matrix(q, n) == expected_inclusion_matrix(q, n)
+            assert phi_k0_matrix(q, n) == expected_phi_matrix(q, n)
 
 
 def _count_builds(monkeypatch) -> dict:
@@ -140,7 +170,7 @@ class TestSpanOverPrimeField:
         for n in range(4):
             field, rational = LeavittAlgebra(q, SPAN_PRIME), LeavittAlgebra(q)
             monomials = filtration._spanning_monomials(
-                q, n, _paths_by_target(rational, n, 60000), 60000)
+                q, n, _paths_by_target(rational, n, filtration._SPAN_LIMIT))
             rank = filtration._span_rank(rational, monomials)
             assert filtration._span_rank(field, monomials) == rank
             assert filtration_span_dim(q, n) == rank

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import jacobson_quiver, random_ladder_quiver, \
+from helpers import call_within, jacobson_quiver, random_ladder_quiver, \
     random_no_source_quiver, rose, toeplitz_quiver
 from leavittk import groups, ktheory
 from leavittk.groups import (FinAbGroup, Modulus, SizeLimitError,
@@ -201,6 +201,21 @@ class TestCornerLes:
         assert theory.data_at(6) is theory.data_at(0)
         with pytest.raises(KeyError):
             CoefficientTheory(degrees=((0, data),)).data_at(5)
+
+    def test_widest_window_runs(self):
+        entries = call_within(2, lambda: les_table_for_quiver(
+            rose(3), Modulus.of(4), 0, 9999))
+        assert isinstance(entries, list) and len(entries) == 10 ** 4
+        assert entries[-1].degree == 9999
+
+    @pytest.mark.parametrize("n_max", [10 ** 4, 10 ** 8])
+    def test_wide_window_raises(self, n_max):
+        mod = Modulus.of(4)
+        for call in (lambda: les_table_for_quiver(rose(3), mod, 0, n_max),
+                     lambda: suslin_coefficients(mod, IntMatrix([[3]]), 0,
+                                                 n_max),
+                     lambda: corner_les(self._theory(2), 0, n_max)):
+            assert isinstance(call_within(2, call), SizeLimitError)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
