@@ -286,6 +286,9 @@ class Element:
                 prod = alg._mul_monomials(m1, m2)
                 if prod is not None:
                     raw.append((prod, alg._cmul(c1, c2)))
+            if len(raw) > _PRODUCT_LIMIT:
+                raise SizeLimitError(
+                    f"product would exceed {_PRODUCT_LIMIT} terms")
         return Element(alg, alg._normalize(raw))
 
     def __rmul__(self, scalar):
@@ -462,6 +465,8 @@ def verify_corner_axioms(alg: "LeavittAlgebra | Quiver | OrderedQuiver",
 
 
 _BASIS_LIMIT = 20000
+# The most raw terms one product of elements may expand to.
+_PRODUCT_LIMIT = 20000
 
 
 def enumerate_basis(alg: "LeavittAlgebra | Quiver | OrderedQuiver",

@@ -4,10 +4,13 @@ Subcommands: kmod, analyze, algebra, filtration, split.  Each handler
 returns one ordered list of (key, value, text) rows; `main` alone
 renders them in the chosen format and turns failures into exit codes.
 Output is deterministic byte-for-byte for fixed input; errors go to
-stderr only.  Exit codes: 0 ok, 1 parse error (also an empty --from/--to
-window), 2 quiver has sources, 3 bad modulus, 4 work bound exceeded
-(a filtration level past its size limit, split --n above 10^5, a
---from/--to window of more than 10^4 degrees).
+stderr only.  Exit codes: 0 ok, 1 parse error (also a usage error and an
+empty --from/--to window), 2 quiver has sources, 3 bad modulus, 4 work
+bound exceeded (a filtration level past its size limit, split --n above
+10^5, a --from/--to window of more than 10^4 degrees, an --eval product
+of more than 20,000 terms).  An --eval expression that starts with '-'
+is written --eval=TEXT, as in --eval=-x, or argparse reads it as an
+option.
 """
 
 from __future__ import annotations
@@ -35,6 +38,14 @@ EXIT_WORK = 4
 
 class _CliError(Exception):
     """args: (exit code, message)."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error exits with the parse-error code, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
 def _load_quiver(path: str) -> OrderedQuiver:
@@ -241,7 +252,7 @@ def _cmd_split(args) -> list:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="leavittk",
         description="Mod-m K-groups of Leavitt path algebras, plus the "
                     "symbolic engine and filtration checks behind them.")

@@ -127,14 +127,31 @@ SPAN_PRIME = 2 ** 31 - 1
 
 def _span_rank(alg: LeavittAlgebra, monomials) -> int:
     """Rank of the normal forms of `monomials` over alg's coefficients,
-    by sparse elimination on leading monomials."""
+    by sparse elimination on leading monomials.
+
+    A row's lead is its shortest term.  A normal monomial is its own row.
+    The row of a non-normal spanning monomial s'g.(t'g)*, g a special
+    arrow, has as shortest term the monomial with the common
+    special-arrow suffix of both sides stripped, with coefficient 1.  It
+    is shorter than its block's level and ends at a non-sink, so it is
+    no spanning monomial, and the special arrows fix the stripped chain,
+    so no two rows share it.  Every lead is then new and the elimination
+    is triangular: no row is reduced.  A lead that does collide (on a
+    repeated or dependent input) is still reduced against its pivot.
+    """
     one, zero = alg.coerce(1), alg._zero
     add, mul, neg = alg._cadd, alg._cmul, alg._cneg
     pivots: dict = {}
     for mon in monomials:
-        row = alg._normalize([(mon, one)])
+        if alg._is_normal(mon):
+            if mon not in pivots:
+                pivots[mon] = {mon: one}
+                continue
+            row = {mon: one}
+        else:
+            row = alg._normalize([(mon, one)])
         while row:
-            lead = max(row, key=_sort_key) if len(row) > 1 else next(iter(row))
+            lead = min(row, key=_sort_key) if len(row) > 1 else next(iter(row))
             if lead not in pivots:
                 if row[lead] != one:
                     inv = alg.coerce(Fraction(1, row[lead]))

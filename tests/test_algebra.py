@@ -58,6 +58,18 @@ class TestProducts:
         with pytest.raises(ValueError):
             a * b
 
+    def test_product_term_bound(self):
+        """A 2^14-term power of x + y times x + y would expand to 2^15
+        raw terms, past the 20,000-term product bound."""
+        alg = l1_algebra()
+        s = alg.arrow("a1") + alg.arrow("a2")
+        power = s
+        for _ in range(13):
+            power = power * s
+        assert len(power.terms()) == 2 ** 14
+        with pytest.raises(SizeLimitError, match="20000 terms"):
+            power * s
+
 
 class TestNormalForm:
     def test_one_junction_step(self):

@@ -20,6 +20,8 @@ def run_cli(args):
     sys.stdout, sys.stderr = stdout, stderr
     try:
         code = main(args)
+    except SystemExit as exc:  # argparse: usage errors and --help
+        code = exc.code
     finally:
         sys.stdout, sys.stderr = old_out, old_err
     return code, stdout.getvalue(), stderr.getvalue()
@@ -151,6 +153,45 @@ class TestExitCodes:
         code, out, err = run_cli(["algebra", quiver_path("rose2.q"),
                                   "--eval", text])
         assert (code, out, err) == (1, "", message + "\n")
+
+    def test_product_bound_exit_four(self):
+        text = "(x+y)" * 20
+        got = call_within(2, lambda: run_cli(
+            ["algebra", quiver_path("rose2.q"), "--eval", text]))
+        assert got == (4, "", "work bound exceeded: product would exceed "
+                              "20000 terms\n")
+
+    def test_product_below_bound_runs(self):
+        code, out, _ = run_cli(["algebra", quiver_path("rose2.q"),
+                                "--eval", "(x+y)" * 12])
+        assert code == 0
+        form = out.splitlines()[0].removeprefix("normal form: ")
+        assert len(form.split(" + ")) == 4096
+
+    @pytest.mark.parametrize("args,message", [
+        (["algebra", quiver_path("rose2.q"), "--eval", "-x"],
+         "argument --eval: expected one argument"),
+        (["kmod", quiver_path("rose2.q")],
+         "the following arguments are required: --mod"),
+        (["kmod", quiver_path("rose2.q"), "--mod", "4", "--from", "x"],
+         "argument --from: invalid int value: 'x'"),
+        ([], "the following arguments are required: command")])
+    def test_usage_error_exit_one(self, args, message):
+        code, out, err = run_cli(args)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: leavittk")
+        assert err.endswith(f": error: {message}\n")
+
+    @pytest.mark.parametrize("args", [["--help"], ["kmod", "--help"]])
+    def test_help_exit_zero(self, args):
+        code, out, err = run_cli(args)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: leavittk")
+
+    def test_eval_equals_takes_leading_minus(self):
+        code, out, _ = run_cli(["algebra", quiver_path("rose2.q"),
+                                "--eval=-x"])
+        assert (code, out) == (0, "normal form: - x\ndegree 1: - x\n")
 
     def test_unprintable_coefficient_exit_four(self):
         big = "9" * 3000

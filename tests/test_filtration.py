@@ -176,6 +176,40 @@ class TestSpanOverPrimeField:
             assert filtration_span_dim(q, n) == rank
 
 
+def _stage_two(name: str) -> tuple:
+    """F_p and Q algebras of a data quiver and its stage-2 spanning set."""
+    q = DATA_QUIVERS[name]
+    field, rational = LeavittAlgebra(q, SPAN_PRIME), LeavittAlgebra(q)
+    monomials = filtration._spanning_monomials(
+        q, 2, _paths_by_target(rational, 2, filtration._SPAN_LIMIT))
+    return field, rational, monomials
+
+
+class TestShortestLeadPivots:
+    """Leads are shortest terms, so a spanning set's rows never collide;
+    rows that do collide must still be reduced, not counted."""
+
+    @pytest.mark.parametrize("name", DATA_QUIVERS)
+    def test_dependent_set_loses_exactly_one(self, name):
+        """Stage 2 plus the one-step rewrite summands s't'* and s'a(t'a)*
+        of its first non-normal monomial s'g(t'g)*: those summands and
+        that monomial satisfy one linear relation."""
+        field, rational, monomials = _stage_two(name)
+        rewrite = next(step for step in map(rational._junction_expand,
+                                            monomials) if step is not None)
+        dependent = monomials + [m for _, m in rewrite if m not in monomials]
+        assert len(dependent) > len(monomials)
+        for alg in (field, rational):
+            assert filtration._span_rank(alg, dependent) == len(dependent) - 1
+
+    @pytest.mark.parametrize("name", DATA_QUIVERS)
+    def test_repeated_set_keeps_its_rank(self, name):
+        field, rational, monomials = _stage_two(name)
+        for alg in (field, rational):
+            assert filtration._span_rank(alg, monomials + monomials) \
+                == len(monomials)
+
+
 class TestBuildsOncePerCall:
     def test_filtration_command(self, monkeypatch, capsys):
         counts = _count_builds(monkeypatch)
