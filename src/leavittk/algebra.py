@@ -16,9 +16,9 @@ that are final, so normalization terminates; the choice of special
 arrow (smallest arrow id at each non-sink) only fixes which basis of
 the same algebra we use.
 
-Coefficients are exact rationals by default; passing a prime switches
-to the corresponding prime field.  The ring is chosen once, when the
-algebra is built.  Floating point never appears.
+Coefficients are exact rationals by default (an int while integral, else
+a Fraction); passing a prime switches to the corresponding prime field.
+The ring is chosen once, when the algebra is built.  No float appears.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ class LeavittAlgebra:
         if coeff_prime is not None and coeff_prime < 2:
             raise ValueError("coefficient prime must be >= 2")
         self.coeff_prime = coeff_prime
-        # The coefficient ring is fixed here: exact rationals (Fraction in,
-        # Fraction out) or integers reduced mod coeff_prime.
+        # The coefficient ring is fixed here: exact rationals (int while
+        # integral, else Fraction) or integers reduced mod coeff_prime.
         if coeff_prime is None:
-            self.coerce = lambda c: c if isinstance(c, Fraction) else Fraction(c)
+            self.coerce = lambda c: int(c) if c == int(c) else Fraction(c)
             self._cadd, self._cmul, self._cneg = operator.add, operator.mul, \
                 operator.neg
         else:
@@ -242,6 +242,7 @@ class Element:
         return tuple(sorted(self._terms.items(), key=lambda t: _sort_key(t[0])))
 
     def coefficient(self, mon: Monomial):
+        """Over Q an int or a Fraction; Fraction(k) == k either way."""
         return self._terms.get(mon, self.algebra._zero)
 
     @property

@@ -120,11 +120,6 @@ def _spanning_monomials(q: OrderedQuiver, n: int, by_target):
     return monomials
 
 
-# The field F_p in which the span is first reduced: the largest prime
-# below 2^31, so products of two residues stay small machine-sized ints.
-SPAN_PRIME = 2 ** 31 - 1
-
-
 def _span_rank(alg: LeavittAlgebra, monomials) -> int:
     """Rank of the normal forms of `monomials` over alg's coefficients,
     by sparse elimination on leading monomials.
@@ -172,23 +167,15 @@ def filtration_span_dim(q: OrderedQuiver, n: int) -> int:
     """Dimension of stage n, computed by reducing its spanning set.
 
     Every spanning monomial is rewritten to normal form and the rank of
-    the resulting coefficient rows is taken by sparse elimination, so
-    this really measures the span and not the count.  The rewriting has
-    integer coefficients and the normal monomials are a basis over every
-    field, so rank over F_p <= rank over Q <= size of the spanning set:
-    an F_p rank equal to that size proves the rational rank.  Otherwise
-    the rows are reduced again over the rationals (see README).
+    the resulting rational coefficient rows is taken by sparse
+    elimination, so this really measures the span and not the count.
     """
     q = as_ordered(q)
     require_no_sources(q)
     _check_level(q, n)
-    field = LeavittAlgebra(q, coeff_prime=SPAN_PRIME)
-    monomials = _spanning_monomials(q, n,
-                                    _paths_by_target(field, n, _SPAN_LIMIT))
-    rank = _span_rank(field, monomials)
-    if rank == len(monomials):
-        return rank
-    return _span_rank(LeavittAlgebra(q), monomials)
+    alg = LeavittAlgebra(q)
+    return _span_rank(alg, _spanning_monomials(
+        q, n, _paths_by_target(alg, n, _SPAN_LIMIT)))
 
 
 def _least_path(by_target, length: int, vertex: str):
@@ -281,11 +268,11 @@ def phi_k0_matrix(q: OrderedQuiver, n: int) -> IntMatrix:
 
 def _stage_report(q: OrderedQuiver, n: int) -> tuple:
     """(stage-n profile, span dimension, inclusion matrix, phi matrix) of
-    one `filtration` request, with the algebra and profiles built once."""
+    one `filtration` request, built on one algebra, path table and profiles."""
     stage = _stage(q, n)
-    q, _, _, profile, _ = stage
-    return (profile, filtration_span_dim(q, n), _inclusion(*stage),
-            _phi(*stage))
+    q, alg, by_target, profile, _ = stage
+    return (profile, _span_rank(alg, _spanning_monomials(q, n, by_target)),
+            _inclusion(*stage), _phi(*stage))
 
 
 def expected_inclusion_matrix(q: OrderedQuiver, n: int) -> IntMatrix:
@@ -330,7 +317,6 @@ def stabilized_block_difference(q: OrderedQuiver, n: int) -> IntMatrix:
 __all__ = [
     "Block",
     "BlockProfile",
-    "SPAN_PRIME",
     "block_profile",
     "expected_inclusion_matrix",
     "expected_phi_matrix",

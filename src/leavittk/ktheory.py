@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .groups import FinAbGroup, Modulus, SizeLimitError, factorize, \
-    kernel_cokernel, kernel_cokernel_mod, local_smith_exponents
+from .groups import FinAbGroup, Modulus, SizeLimitError, _proven_prime, \
+    factorize, kernel_cokernel, kernel_cokernel_mod, local_smith_exponents
 from .matrices import IntMatrix, smith_normal_form
 from .quiver import OrderedQuiver, Quiver, as_ordered, order_sinks_first, \
     reduced_incidence, require_no_sources
@@ -314,6 +314,11 @@ class DivisibilityReport:
     entries: tuple
 
 
+# Every modulus l^nu of a report stays below this: Python refuses to
+# convert an int of more than 4300 digits to text.
+_POWER_BOUND = 10 ** 4300
+
+
 def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
     """Vanishing/divisibility conclusions for each requested prime power.
 
@@ -321,17 +326,23 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
     degree (the groups only depend on parity), which makes the integral
     K-groups uniquely m-divisible; a nonzero group in some parity forces
     one of each adjacent integral pair to be nonzero in that parity.
-    Each listed l must be prime; the matrix is eliminated once per
-    distinct l, over Z/l^nu for its largest nu, and the tables for the
-    lower powers of l read the same pivots.
+    Each listed l must be proven prime (so below 3.3e24) and each l^nu
+    below 10^4300; the matrix is eliminated once per distinct l, over
+    Z/l^nu for its largest nu, and the tables for the lower powers of l
+    read the same pivots.
     """
     q = as_ordered(q)
     primes = list(primes)
     matrix = leavitt_matrix(q)
     top: dict = {}  # prime -> largest requested exponent
     for l, nu in primes:
-        if nu < 1 or l < 2 or factorize(l) != ((l, 1),):
-            raise ValueError(f"{l}^{nu} is not a positive power of a prime")
+        if nu < 1 or not _proven_prime(l):
+            raise ValueError(f"{l}^{nu} is not a positive power of a prime "
+                             "(l must be proven prime, so below 3.3e24)")
+        # l^nu >= 2^(nu * (bits(l) - 1)), so this sizes it unbuilt
+        if nu * (l.bit_length() - 1) >= _POWER_BOUND.bit_length() \
+                or l ** nu >= _POWER_BOUND:
+            raise SizeLimitError(f"{l}^{nu} has more than 4300 digits")
         top[l] = max(nu, top.get(l, 0))
     exponents = {l: local_smith_exponents(matrix, l, nu)
                  for l, nu in top.items()}

@@ -354,6 +354,31 @@ class TestPrimeFieldOption:
         assert alg.coerce(Fraction(2, 3)) == 2 * pow(3, -1, 7) % 7
 
 
+class TestRationalRing:
+    """Integral rationals are kept as int, and an int coefficient and an
+    equal Fraction make the same element."""
+
+    def test_integral_fraction_becomes_int(self):
+        c = l1_algebra().coerce(Fraction(4, 2))
+        assert type(c) is int and c == 2
+
+    def test_proper_fraction_stays(self):
+        c = l1_algebra().coerce(Fraction(1, 2))
+        assert type(c) is Fraction and c == Fraction(1, 2)
+
+    def test_int_and_fraction_coefficients_agree(self):
+        alg = l1_algebra()
+        x = alg.arrow("a1")
+        as_int, as_fraction = x * 2, x * Fraction(2, 3) * 3
+        mon = next(iter(x.terms()))[0]
+        assert type(as_int.coefficient(mon)) is int
+        assert type(as_fraction.coefficient(mon)) is Fraction
+        assert as_int == as_fraction
+        assert hash(as_int) == hash(as_fraction)
+        assert render_element(as_int) == render_element(as_fraction) \
+            == "2 a1"
+
+
 class TestElementSyntax:
     def test_rewriting_fixtures(self):
         alg = l1_algebra()

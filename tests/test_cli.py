@@ -161,6 +161,18 @@ class TestExitCodes:
         assert got == (4, "", "work bound exceeded: product would exceed "
                               "20000 terms\n")
 
+    def test_prime_power_digit_bound_exit_four(self):
+        got = call_within(2, lambda: run_cli(
+            ["analyze", quiver_path("rose2.q"), "--primes", "2^20000"]))
+        assert got == (4, "", "work bound exceeded: 2^20000 has more than "
+                              "4300 digits\n")
+
+    def test_prime_power_below_digit_bound_runs(self):
+        code, out, _ = run_cli(["analyze", quiver_path("rose2.q"),
+                                "--primes", "2^14000"])
+        assert code == 0
+        assert f"[modulus 2^14000 = {2 ** 14000}]" in out
+
     def test_product_below_bound_runs(self):
         code, out, _ = run_cli(["algebra", quiver_path("rose2.q"),
                                 "--eval", "(x+y)" * 12])

@@ -7,8 +7,7 @@ from helpers import call_within, jacobson_quiver, random_no_source_quiver, \
     rose, toeplitz_quiver
 from leavittk import cli, filtration
 from leavittk.algebra import LeavittAlgebra, _paths_by_target
-from leavittk.filtration import (SPAN_PRIME, block_profile,
-                                 expected_inclusion_matrix,
+from leavittk.filtration import (block_profile, expected_inclusion_matrix,
                                  expected_phi_matrix, filtration_span_dim,
                                  inclusion_k0_matrix, phi_k0_matrix,
                                  stabilized_block_difference)
@@ -18,6 +17,10 @@ from leavittk.matrices import IntMatrix
 from leavittk.quiver import SourcesPresentError, order_sinks_first, parse_quiver
 
 DATA = Path(__file__).parent / "data"
+
+# A prime field to cross-check the rational span rank in: the largest
+# prime below 2^31.
+PRIME = 2 ** 31 - 1
 
 FIXTURE_QUIVERS = [
     toeplitz_quiver(),
@@ -138,37 +141,14 @@ def _count_builds(monkeypatch) -> dict:
 
 
 class TestSpanOverPrimeField:
-    """The span is reduced over F_p first; only a rank short of the
-    spanning-set size sends it to the rational route."""
-
-    def test_short_prime_rank_falls_back_to_rationals(self, monkeypatch):
-        """The patched ranks come up 1 short over F_p and 2 short over Q,
-        so only the rational route's value can come back."""
-        rank = filtration._span_rank
-        routes = []
-
-        def short_ranks(alg, monomials):
-            routes.append(alg.coeff_prime)
-            return rank(alg, monomials) - (1 if alg.coeff_prime else 2)
-
-        monkeypatch.setattr(filtration, "_span_rank", short_ranks)
-        q = jacobson_quiver(2)
-        assert filtration_span_dim(q, 2) \
-            == block_profile(q, 2).sum_of_squares - 2
-        assert routes == [SPAN_PRIME, None]
-
-    def test_full_rank_builds_no_rational_algebra(self, monkeypatch):
-        q = jacobson_quiver(2)
-        want = block_profile(q, 3).sum_of_squares
-        counts = _count_builds(monkeypatch)
-        assert filtration_span_dim(q, 3) == want
-        assert counts == {"Q": 0, "F_p": 1, "profiles": 0}
+    """The span is reduced over Q; the same rows reduced over F_p give
+    the same rank on every data quiver."""
 
     @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.q")))
     def test_prime_and_rational_ranks_agree(self, name):
         q = order_sinks_first(parse_quiver((DATA / name).read_text()))
         for n in range(4):
-            field, rational = LeavittAlgebra(q, SPAN_PRIME), LeavittAlgebra(q)
+            field, rational = LeavittAlgebra(q, PRIME), LeavittAlgebra(q)
             monomials = filtration._spanning_monomials(
                 q, n, _paths_by_target(rational, n, filtration._SPAN_LIMIT))
             rank = filtration._span_rank(rational, monomials)
@@ -179,7 +159,7 @@ class TestSpanOverPrimeField:
 def _stage_two(name: str) -> tuple:
     """F_p and Q algebras of a data quiver and its stage-2 spanning set."""
     q = DATA_QUIVERS[name]
-    field, rational = LeavittAlgebra(q, SPAN_PRIME), LeavittAlgebra(q)
+    field, rational = LeavittAlgebra(q, PRIME), LeavittAlgebra(q)
     monomials = filtration._spanning_monomials(
         q, 2, _paths_by_target(rational, 2, filtration._SPAN_LIMIT))
     return field, rational, monomials
@@ -211,12 +191,28 @@ class TestShortestLeadPivots:
 
 
 class TestBuildsOncePerCall:
+    def test_filtration_span_dim(self, monkeypatch):
+        q = jacobson_quiver(2)
+        want = block_profile(q, 3).sum_of_squares
+        counts = _count_builds(monkeypatch)
+        assert filtration_span_dim(q, 3) == want
+        assert counts == {"Q": 1, "F_p": 0, "profiles": 0}
+
     def test_filtration_command(self, monkeypatch, capsys):
         counts = _count_builds(monkeypatch)
+        tables = []
+        paths = filtration._paths_by_target
+
+        def counting_paths(alg, max_len, limit):
+            tables.append(max_len)
+            return paths(alg, max_len, limit)
+
+        monkeypatch.setattr(filtration, "_paths_by_target", counting_paths)
         assert cli.main(["filtration", str(DATA / "jacobson2.q"),
                          "--level", "3"]) == 0
         assert "dimension match: OK" in capsys.readouterr().out
-        assert counts == {"Q": 1, "F_p": 1, "profiles": 2}
+        assert counts == {"Q": 1, "F_p": 0, "profiles": 2}
+        assert tables == [3]
 
     def test_stabilized_block_difference(self, monkeypatch):
         counts = _count_builds(monkeypatch)

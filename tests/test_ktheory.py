@@ -307,6 +307,22 @@ class TestDivisibilityReport:
             with pytest.raises(ValueError):
                 divisibility_report(rose(3), [(5, 1), bad])
 
+    @pytest.mark.parametrize("nu", [14285, 10 ** 7])
+    def test_power_past_digit_bound_refused_unbuilt(self, nu):
+        got = call_within(2, lambda: divisibility_report(rose(2), [(2, nu)]))
+        assert isinstance(got, SizeLimitError)
+
+    def test_power_at_digit_bound_runs(self):
+        # 2^14284 has 4300 digits, the most Python converts to text
+        entry = divisibility_report(rose(2), [(2, 14284)]).entries[0]
+        assert entry.modulus.m == 2 ** 14284
+
+    def test_unprovable_prime_refused_without_factoring(self):
+        got = call_within(2, lambda: divisibility_report(
+            rose(2), [(10 ** 25 + 13, 1)]))
+        assert type(got) is ValueError
+        assert str(got).endswith("(l must be proven prime, so below 3.3e24)")
+
     def test_rose_three_petals(self):
         q = rose(3)
         report = divisibility_report(q, [(5, 1), (2, 1)])
