@@ -411,13 +411,13 @@ class CornerAxiomReport:
         return tuple(name for name, ok in self.checks if not ok)
 
 
-def random_degree_zero_element(alg: LeavittAlgebra, rng, max_len: int = 2,
-                               max_terms: int = 3) -> Element:
-    """Small random degree-0 element built from backward walks."""
+def random_degree_zero_element(alg: LeavittAlgebra, rng,
+                               max_len: int = 2) -> Element:
+    """Random degree-0 element of 1 to 3 terms built from backward walks."""
     coeff_pool = [1, -1, 2, -2, 3] if alg.coeff_prime else \
         [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-2, 3)]
     terms = []
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         d = rng.randint(0, max_len)
         w = rng.choice(alg.vertices)
         sides = []

@@ -23,7 +23,7 @@ from .algebra import LeavittAlgebra, render_element
 from .element_syntax import ElementSyntaxError, parse_element
 from .filtration import (_stage_report, expected_inclusion_matrix,
                          expected_phi_matrix)
-from .groups import Modulus, SizeLimitError
+from .groups import Modulus, SizeLimitError, _proven_prime
 from .ktheory import (DEFAULT_WINDOW, divisibility_report, mod_l_ktheory,
                       moore_splitting_check)
 from .quiver import (OrderedQuiver, SourcesPresentError, order_sinks_first,
@@ -65,10 +65,6 @@ def _parse_modulus(text: str) -> Modulus:
         value = int(text)
     except ValueError:
         raise _CliError(EXIT_MODULUS, f"modulus must be an integer, got {text!r}")
-    return _modulus_of(value)
-
-
-def _modulus_of(value: int) -> Modulus:
     try:
         return Modulus.of(value)
     except ValueError as exc:
@@ -83,8 +79,8 @@ def _parse_prime_power(text: str):
         l = nu = 0
     if l < 2 or nu < 1:
         raise _CliError(EXIT_MODULUS, f"bad prime power {text!r}")
-    if _modulus_of(l).factorization != ((l, 1),):
-        raise _CliError(EXIT_MODULUS, f"{l} is not prime")
+    if not _proven_prime(l):
+        raise _CliError(EXIT_MODULUS, f"bad modulus: {l} is not proven prime")
     return l, nu
 
 

@@ -350,29 +350,22 @@ def local_smith_exponents(matrix: IntMatrix, p: int, e: int) -> tuple:
     return tuple(exponents)
 
 
-def kernel_cokernel_mod(matrix: IntMatrix, modulus: Modulus,
-                        exponents: dict | None = None):
+def kernel_cokernel_mod(matrix: IntMatrix, modulus: Modulus):
     """(kernel, cokernel) of the induced map (Z/m)^cols -> (Z/m)^rows,
     assembled from one local elimination per prime power p^e of m.
 
     Each pivot exponent k adds Z/p^k to both groups, and each unused
-    column (row) a full Z/p^e to the kernel (cokernel).  `exponents`
-    may map a prime p of m to local_smith_exponents(matrix, p, E) for
-    any E >= e, already computed; a pivot with k >= e vanishes mod p^e
-    and counts as Z/p^e.
+    column (row) a full Z/p^e to the kernel (cokernel).
 
     >>> [str(g) for g in kernel_cokernel_mod(IntMatrix([[2, 0]]),
     ...                                      Modulus.of(12))]
     ['Z/2 (+) Z/12', 'Z/2']
     """
-    exponents = exponents or {}
     kernel_parts, cokernel_parts = {}, {}
     for p, e in modulus.factorization:
-        ks = exponents[p] if p in exponents \
-            else local_smith_exponents(matrix, p, e)
-        pivots = [min(k, e) for k in ks]
-        kernel_parts[p] = pivots + [e] * (matrix.cols - len(ks))
-        cokernel_parts[p] = pivots + [e] * (matrix.rows - len(ks))
+        ks = list(local_smith_exponents(matrix, p, e))
+        kernel_parts[p] = ks + [e] * (matrix.cols - len(ks))
+        cokernel_parts[p] = ks + [e] * (matrix.rows - len(ks))
     return (FinAbGroup.from_primary_parts(0, kernel_parts),
             FinAbGroup.from_primary_parts(0, cokernel_parts))
 

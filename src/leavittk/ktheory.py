@@ -18,7 +18,7 @@ from functools import cached_property
 from math import gcd
 
 from .groups import FinAbGroup, Modulus, SizeLimitError, _proven_prime, \
-    factorize, kernel_cokernel, kernel_cokernel_mod, local_smith_exponents
+    factorize, kernel_cokernel, kernel_cokernel_mod
 from .matrices import IntMatrix, smith_normal_form
 from .quiver import OrderedQuiver, Quiver, as_ordered, order_sinks_first, \
     reduced_incidence, require_no_sources
@@ -103,17 +103,6 @@ class KGroupTable:
         return self._entry(n).provenance
 
 
-def _table(matrix: IntMatrix, modulus: Modulus, n_min: int, n_max: int,
-           exponents: dict | None = None) -> KGroupTable:
-    if not modulus.is_prime_power:
-        warnings.warn(
-            f"modulus {modulus.m} is not a prime power; "
-            "table is a formal extension by CRT", stacklevel=3)
-    kernel, cokernel = kernel_cokernel_mod(matrix, modulus, exponents)
-    return KGroupTable(modulus=modulus, even=cokernel, odd=kernel,
-                       window=(n_min, n_max))
-
-
 _WINDOW_BOUND = 10 ** 4
 
 
@@ -141,7 +130,13 @@ def mod_l_ktheory(q: OrderedQuiver, modulus: Modulus,
     SizeLimitError.
     """
     _check_window(n_min, n_max)
-    return _table(leavitt_matrix(q), modulus, n_min, n_max)
+    if not modulus.is_prime_power:
+        warnings.warn(
+            f"modulus {modulus.m} is not a prime power; "
+            "table is a formal extension by CRT", stacklevel=2)
+    kernel, cokernel = kernel_cokernel_mod(leavitt_matrix(q), modulus)
+    return KGroupTable(modulus=modulus, even=cokernel, odd=kernel,
+                       window=(n_min, n_max))
 
 
 # -- corner-skew long exact sequence ------------------------------------
@@ -151,36 +146,25 @@ def mod_l_ktheory(q: OrderedQuiver, modulus: Modulus,
 class DegreeData:
     """Presentation of one coefficient degree plus the induced map.
 
-    `rank` generators of Z (modulus None) or Z/m presents the group.
-    `phi` has `rank` columns; square inputs mean a plain endomorphism.
-    When the codomain is strictly larger (`codomain_rank` > rank) the
-    identity is embedded below a zero block, sinks-first style, before
-    subtracting `phi` -- the stabilized shape produced by quivers with
-    sinks, where no square endomorphism can reproduce the tables.
+    The group is Z (modulus None) or Z/m on phi.cols generators, mapped
+    into phi.rows of them.  A square `phi` means a plain endomorphism.
+    When the codomain is strictly larger, the identity is embedded below
+    a zero block, sinks-first style, before subtracting `phi` -- the
+    stabilized shape produced by quivers with sinks, where no square
+    endomorphism can reproduce the tables.
     """
 
-    rank: int
     phi: IntMatrix
     modulus: Modulus | None = None
-    codomain_rank: int | None = None
 
     def __post_init__(self):
-        cod = self.codomain_rank if self.codomain_rank is not None else self.rank
-        if self.phi.cols != self.rank or self.phi.rows != cod:
+        if self.phi.rows < self.phi.cols:
             raise ValueError(
-                f"phi is {self.phi.rows}x{self.phi.cols}, presentation wants "
-                f"{cod}x{self.rank}")
-        if cod < self.rank:
-            raise ValueError("codomain may not be smaller than the domain")
-
-    @property
-    def group(self) -> FinAbGroup:
-        if self.modulus is None:
-            return FinAbGroup.free(self.rank)
-        return FinAbGroup.from_cyclic_orders([self.modulus.m] * self.rank)
+                f"phi is {self.phi.rows}x{self.phi.cols}: the codomain may "
+                "not be smaller than the domain")
 
     def map_matrix(self) -> IntMatrix:
-        return IntMatrix.identity_below_zero(self.phi.rows, self.rank) \
+        return IntMatrix.identity_below_zero(self.phi.rows, self.phi.cols) \
             - self.phi
 
 
@@ -265,18 +249,15 @@ def corner_les(theory: CoefficientTheory, n_min: int, n_max: int) -> list:
 
 
 def suslin_coefficients(modulus: Modulus, phi_even: IntMatrix,
-                        n_min: int, n_max: int,
-                        codomain_rank: int | None = None) -> CoefficientTheory:
+                        n_min: int, n_max: int) -> CoefficientTheory:
     """Cyclic coefficients of an algebraically closed field: Z/m in even
     nonnegative degrees, zero elsewhere, with the given even-degree map."""
     _check_window(n_min, n_max)
-    zero_data = DegreeData(rank=0, phi=IntMatrix([]), modulus=modulus)
+    zero_data = DegreeData(phi=IntMatrix([]), modulus=modulus)
     degrees = []
     for n in range(n_min - 1, n_max + 1):
         if n >= 0 and n % 2 == 0:
-            degrees.append((n, DegreeData(rank=phi_even.cols, phi=phi_even,
-                                          modulus=modulus,
-                                          codomain_rank=codomain_rank)))
+            degrees.append((n, DegreeData(phi=phi_even, modulus=modulus)))
         else:
             degrees.append((n, zero_data))
     return CoefficientTheory(degrees=tuple(degrees))
@@ -289,7 +270,7 @@ def les_table_for_quiver(q: OrderedQuiver, modulus: Modulus,
     q = as_ordered(q)
     require_no_sources(q)
     it = reduced_incidence(q).transpose()
-    theory = suslin_coefficients(modulus, it, n_min, n_max, codomain_rank=q.v)
+    theory = suslin_coefficients(modulus, it, n_min, n_max)
     return corner_les(theory, n_min, n_max)
 
 
@@ -327,9 +308,11 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
     K-groups uniquely m-divisible; a nonzero group in some parity forces
     one of each adjacent integral pair to be nonzero in that parity.
     Each listed l must be proven prime (so below 3.3e24) and each l^nu
-    below 10^4300; the matrix is eliminated once per distinct l, over
-    Z/l^nu for its largest nu, and the tables for the lower powers of l
-    read the same pivots.
+    below 10^4300.  The matrix is eliminated once per distinct l, over
+    Z/l^E for its largest requested power E, and each table over Z/l^nu
+    tensors those groups with Z/l^nu: a Smith invariant d gives
+    Z/gcd(d, l^E), and gcd(gcd(d, l^E), l^nu) = gcd(d, l^nu) for nu <= E,
+    while an unused row or column gives Z/l^E (x) Z/l^nu = Z/l^nu.
     """
     q = as_ordered(q)
     primes = list(primes)
@@ -344,8 +327,8 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
                 or l ** nu >= _POWER_BOUND:
             raise SizeLimitError(f"{l}^{nu} has more than 4300 digits")
         top[l] = max(nu, top.get(l, 0))
-    exponents = {l: local_smith_exponents(matrix, l, nu)
-                 for l, nu in top.items()}
+    over_top = {l: kernel_cokernel_mod(matrix, Modulus(l ** e, ((l, e),)))
+                for l, e in top.items()}
     sink_free = q.v_prime == 0
     det = None
     det_primes = None
@@ -357,7 +340,10 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
     entries = []
     for l, nu in primes:
         modulus = Modulus(l ** nu, ((l, nu),))
-        table = _table(matrix, modulus, 0, 2, exponents)
+        kernel, cokernel = (g.tensor_with_cyclic(modulus.m)
+                            for g in over_top[l])
+        table = KGroupTable(modulus=modulus, even=cokernel, odd=kernel,
+                            window=(0, 2))
         nonzero_parities = []
         for n in (0, 1):
             if not table.group_at(n).is_trivial:

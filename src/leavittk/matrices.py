@@ -129,12 +129,10 @@ class IntMatrix:
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self._data]!r})"
 
-    def permuted(self, row_perm=None, col_perm=None) -> "IntMatrix":
+    def permuted(self, row_perm, col_perm) -> "IntMatrix":
         """Reindex rows/cols: new[i][j] = old[row_perm[i]][col_perm[j]]."""
-        rp = row_perm if row_perm is not None else range(self.rows)
-        cp = col_perm if col_perm is not None else range(self.cols)
-        return IntMatrix._of(tuple(tuple(self._data[i][j] for j in cp)
-                                   for i in rp), len(cp))
+        return IntMatrix._of(tuple(tuple(self._data[i][j] for j in col_perm)
+                                   for i in row_perm), len(col_perm))
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import call_within
+from leavittk import groups, ktheory
 from leavittk.cli import main, parse_records
 
 DATA = Path(__file__).parent / "data"
@@ -276,6 +277,22 @@ class TestAnalyze:
                                 "--primes", "5^2,2"])
         assert code == 0
         assert "[modulus 5^2 = 25]" in out
+
+    def test_primes_are_not_factored(self, monkeypatch):
+        # rose2 has determinant -1, so nothing in analyze has to factor
+        def boom(*args, **kwargs):
+            raise AssertionError("factorize called")
+
+        monkeypatch.setattr(groups, "factorize", boom)
+        monkeypatch.setattr(ktheory, "factorize", boom)
+        code, out, err = run_cli(["analyze", quiver_path("rose2.q"),
+                                  "--primes", "3,2^2"])
+        assert code == 0 and err == "" and "[modulus 2^2 = 4]" in out
+        big = "10000000000000000000000013"  # prime, past the proven range
+        code, out, err = run_cli(["analyze", quiver_path("rose2.q"),
+                                  "--primes", big])
+        assert code == 3 and out == ""
+        assert "bad modulus" in err and big in err
 
 
 class TestAlgebraCommand:

@@ -105,8 +105,9 @@ class TestModLTables:
             mod_l_ktheory(rose(2), Modulus.of(3), 2, 1)
 
     def test_composite_modulus_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             mod_l_ktheory(rose(3), Modulus.of(6))
+        assert record[0].filename == __file__  # points at the caller
 
     def test_parity_periodicity(self):
         rng = random.Random(9)
@@ -160,8 +161,7 @@ class TestModLTables:
 
 class TestCornerLes:
     def _theory(self, phi_entry, modulus=None):
-        data = DegreeData(rank=1, phi=IntMatrix([[phi_entry]]),
-                          modulus=modulus)
+        data = DegreeData(phi=IntMatrix([[phi_entry]]), modulus=modulus)
         return CoefficientTheory(degrees=tuple((n, data) for n in range(-1, 4)))
 
     def test_unimodular_map_kills_everything(self):
@@ -186,8 +186,8 @@ class TestCornerLes:
             assert e.resolved == table.group_at(e.degree)
 
     def test_coprime_cyclic_resolution(self):
-        data0 = DegreeData(rank=1, phi=IntMatrix([[3]]), modulus=Modulus.of(2))
-        data1 = DegreeData(rank=1, phi=IntMatrix([[4]]), modulus=Modulus.of(3))
+        data0 = DegreeData(phi=IntMatrix([[3]]), modulus=Modulus.of(2))
+        data1 = DegreeData(phi=IntMatrix([[4]]), modulus=Modulus.of(3))
         theory = CoefficientTheory(degrees=((0, data0), (1, data1)))
         entry = corner_les(theory, 1, 1)[0]
         # sub = coker(1-4 mod 3) = Z/3, quotient = ker(1-3 mod 2) = Z/2
@@ -196,7 +196,7 @@ class TestCornerLes:
         assert entry.resolved == G(6)
 
     def test_periodic_lookup(self):
-        data = DegreeData(rank=1, phi=IntMatrix([[2]]), modulus=Modulus.of(4))
+        data = DegreeData(phi=IntMatrix([[2]]), modulus=Modulus.of(4))
         theory = CoefficientTheory(degrees=((0, data), (1, data)), period=2)
         assert theory.data_at(6) is theory.data_at(0)
         with pytest.raises(KeyError):
@@ -219,9 +219,16 @@ class TestCornerLes:
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            DegreeData(rank=2, phi=IntMatrix([[1]]))
-        with pytest.raises(ValueError):
-            DegreeData(rank=1, phi=IntMatrix([[1, 0]]), codomain_rank=0)
+            DegreeData(phi=IntMatrix([[1, 0]]))
+
+    def test_map_matrix_is_leavitt_matrix(self):
+        # the LES builds the K-map from phi on its own, as a second route
+        rng = random.Random(12)
+        for i in range(500):
+            q = random_no_source_quiver(rng, max_vertices=5, max_arrows=10,
+                                        also_sink_free=i % 2 == 0)
+            data = DegreeData(phi=reduced_incidence(q).transpose())
+            assert data.map_matrix() == leavitt_matrix(q), q
 
     @pytest.mark.parametrize("petals", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9])
@@ -374,7 +381,6 @@ class TestOneReductionPerMatrix:
             return local_smith_exponents(matrix, p, e)
 
         monkeypatch.setattr(groups, "local_smith_exponents", counting)
-        monkeypatch.setattr(ktheory, "local_smith_exponents", counting)
         return calls
 
     @pytest.fixture
@@ -430,7 +436,7 @@ class TestOneReductionPerMatrix:
         assert snf_calls == []
 
     def test_corner_les_integral_data(self, local_calls, snf_calls):
-        data = DegreeData(rank=1, phi=IntMatrix([[3]]))
+        data = DegreeData(phi=IntMatrix([[3]]))
         theory = CoefficientTheory(degrees=((0, data),), period=1)
         entries = corner_les(theory, 0, 5)
         assert len(snf_calls) == 1 and local_calls == []

@@ -111,3 +111,24 @@ def test_zero_by_three_map():
         assert kernel_cokernel(smith_normal_form(zero_by_three), modulus) \
             == want
         assert brute_force_mod_oracle(zero_by_three, modulus) == want
+
+
+def test_lower_powers_by_tensoring():
+    # the groups over Z/l^nu are those over Z/l^E tensored with Z/l^nu for
+    # every nu <= E, which lets divisibility_report eliminate once per l
+    rng = random.Random(25)
+    entries = (0, 1, 2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 125, 243)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        matrix = IntMatrix.zero(0, cols) if rows == 0 else IntMatrix(
+            [[rng.choice(entries) * rng.choice((1, -1, 7)) for _ in range(cols)]
+             for _ in range(rows)])
+        for l in (2, 3, 5):
+            for top in range(1, 6):
+                over_top = kernel_cokernel_mod(matrix,
+                                               Modulus(l ** top, ((l, top),)))
+                for nu in range(1, top + 1):
+                    assert tuple(g.tensor_with_cyclic(l ** nu)
+                                 for g in over_top) \
+                        == kernel_cokernel_mod(matrix, Modulus.of(l ** nu)), \
+                        (matrix, l, top, nu)
