@@ -72,9 +72,9 @@ def _parse_modulus(text: str) -> Modulus:
 
 
 def _parse_prime_power(text: str):
-    base, _, exp = text.partition("^")
+    base, caret, exp = text.partition("^")
     try:
-        l, nu = int(base), int(exp or 1)
+        l, nu = int(base), int(exp) if caret else 1
     except ValueError:
         l = nu = 0
     if l < 2 or nu < 1:
@@ -247,6 +247,9 @@ def _cmd_split(args) -> list:
     return rows + [("verdict", verdict, f"verdict: {verdict}")]
 
 
+_parser = None  # built by the first main() call and reused by later ones
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="leavittk",
@@ -290,7 +293,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand: its rows go to stdout, any failure to stderr
     as a message plus the exit code documented above."""
-    args = _build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         rows = args.handler(args)
     except _CliError as exc:

@@ -133,28 +133,35 @@ def _span_rank(alg: LeavittAlgebra, monomials) -> int:
     so no two rows share it.  Every lead is then new and the elimination
     is triangular: no row is reduced.  A lead that does collide (on a
     repeated or dependent input) is still reduced against its pivot.
+    A pivot whose row went in unreduced and unscaled keeps only the
+    monomial it came from, rewritten again only on such a collision.
     """
     one, zero = alg.coerce(1), alg._zero
     add, mul, neg = alg._cadd, alg._cmul, alg._cneg
-    pivots: dict = {}
+    pivots: dict = {}  # lead -> row, or the monomial the row came from
     for mon in monomials:
         if alg._is_normal(mon):
             if mon not in pivots:
-                pivots[mon] = {mon: one}
+                pivots[mon] = mon
                 continue
             row = {mon: one}
         else:
             row = alg._normalize([(mon, one)])
+        source = mon
         while row:
             lead = min(row, key=_sort_key) if len(row) > 1 else next(iter(row))
             if lead not in pivots:
                 if row[lead] != one:
                     inv = alg.coerce(Fraction(1, row[lead]))
                     row = {k: mul(c, inv) for k, c in row.items()}
-                pivots[lead] = row
+                    source = None
+                pivots[lead] = row if source is None else source
                 break
+            pivot, source = pivots[lead], None
+            if not isinstance(pivot, dict):
+                pivot = alg._normalize([(pivot, one)])
             factor = neg(row[lead])
-            for k, c in pivots[lead].items():
+            for k, c in pivot.items():
                 s = add(row.get(k, zero), mul(factor, c))
                 if s == zero:
                     row.pop(k, None)

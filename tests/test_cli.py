@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import call_within
-from leavittk import groups, ktheory
+from leavittk import cli, groups, ktheory
 from leavittk.cli import main, parse_records
+from leavittk.ktheory import DEFAULT_WINDOW
 
 DATA = Path(__file__).parent / "data"
 BIG_PRIME = 10 ** 18 + 3
@@ -278,6 +279,13 @@ class TestAnalyze:
         assert code == 0
         assert "[modulus 5^2 = 25]" in out
 
+    @pytest.mark.parametrize("token", ["2^", "^2", "2^1^1"])
+    def test_malformed_prime_power_exit_three(self, token):
+        code, out, err = run_cli(["analyze", quiver_path("rose2.q"),
+                                  "--primes", token])
+        assert code == 3 and out == ""
+        assert err == f"bad prime power {token!r}\n"
+
     def test_primes_are_not_factored(self, monkeypatch):
         # rose2 has determinant -1, so nothing in analyze has to factor
         def boom(*args, **kwargs):
@@ -293,6 +301,75 @@ class TestAnalyze:
                                   "--primes", big])
         assert code == 3 and out == ""
         assert "bad modulus" in err and big in err
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """Drop the process's parser, so the next call builds it; the list
+    this returns grows by one entry per build."""
+    builds = []
+    build = cli._build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    return builds
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call leaves state
+    in it that a later call can see."""
+
+    def test_built_once(self, fresh_parser):
+        rose2 = quiver_path("rose2.q")
+        requests = [(["kmod", rose2, "--mod", "4"], 0),
+                    (["analyze", rose2, "--primes", "3"], 0),
+                    (["algebra", rose2, "--eval", "x*"], 0),
+                    (["filtration", rose2, "--level", "1"], 0),
+                    (["split", "--n", "6", "--mod", "4"], 0),
+                    (["kmod", rose2], 1),
+                    (["--help"], 0)]
+        for args, want in requests:
+            assert run_cli(args)[0] == want, args
+        assert len(fresh_parser) == 1
+
+    def test_window_flags_do_not_stick(self, fresh_parser):
+        rose1 = quiver_path("rose1.q")
+        code, out, _ = run_cli(["kmod", rose1, "--mod", "4",
+                                "--from", "2", "--to", "3"])
+        assert code == 0 and out.count("K_{") == 2
+        code, out, _ = run_cli(["kmod", rose1, "--mod", "4"])
+        low, high = DEFAULT_WINDOW
+        assert code == 0
+        assert [l.split("(")[0] for l in out.splitlines() if l[0] == "K"] \
+            == [f"K_{{{n}}}" for n in range(low, high + 1)]
+
+    def test_format_does_not_stick(self, fresh_parser):
+        args = ["kmod", quiver_path("rose1.q"), "--mod", "4"]
+        code, out, _ = run_cli(args + ["--format", "records"])
+        assert code == 0 and out.startswith("hypothesis=")
+        code, out, _ = run_cli(args)
+        assert code == 0 and out.startswith("# hypothesis: ")
+
+    def test_good_request_after_usage_error(self, fresh_parser):
+        args = ["analyze", quiver_path("rose3.q"), "--primes", "5"]
+        want = run_cli(args)
+        assert want[0] == 0 and want[2] == ""
+        assert run_cli(["analyze", quiver_path("rose3.q")])[0] == 1
+        assert run_cli(args) == want
+
+    def test_usage_goes_to_the_current_stderr(self, fresh_parser):
+        for _ in range(2):
+            code, out, err = run_cli(["kmod", quiver_path("rose2.q")])
+            assert code == 1 and out == ""
+            assert err.startswith("usage: leavittk kmod")
+            assert err.endswith("required: --mod\n")
+            code, out, err = run_cli(["--help"])
+            assert code == 0 and err == "" and out.startswith("usage: ")
+        assert len(fresh_parser) == 1
 
 
 class TestAlgebraCommand:
