@@ -16,14 +16,14 @@ that are final, so normalization terminates; the choice of special
 arrow (smallest arrow id at each non-sink) only fixes which basis of
 the same algebra we use.
 
-Coefficients are exact rationals by default (an int while integral, else
-a Fraction); passing a prime switches to the corresponding prime field.
-The ring is chosen once, when the algebra is built.  No float appears.
+Coefficients are exact rationals: an int while integral, else a
+Fraction.  `LeavittAlgebra.coerce` is the one place that decides this;
+it is applied where scalars enter, and the engine otherwise computes
+with plain + * -.  No float appears.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 import warnings
 from dataclasses import dataclass
@@ -67,26 +67,9 @@ class LeavittAlgebra:
     can serve any number of concurrent computations.
     """
 
-    def __init__(self, quiver: "Quiver | OrderedQuiver", coeff_prime: int | None = None):
+    def __init__(self, quiver: "Quiver | OrderedQuiver"):
         self.quiver = quiver
         self.vertices = tuple(quiver.vertices)
-        if coeff_prime is not None and coeff_prime < 2:
-            raise ValueError("coefficient prime must be >= 2")
-        self.coeff_prime = coeff_prime
-        # The coefficient ring is fixed here: exact rationals (int while
-        # integral, else Fraction) or integers reduced mod coeff_prime.
-        if coeff_prime is None:
-            self.coerce = lambda c: int(c) if c == int(c) else Fraction(c)
-            self._cadd, self._cmul, self._cneg = operator.add, operator.mul, \
-                operator.neg
-        else:
-            p = coeff_prime
-            self.coerce = lambda c: (c.numerator * pow(c.denominator, -1, p)
-                                     if isinstance(c, Fraction) else int(c)) % p
-            self._cadd = lambda a, b: (a + b) % p
-            self._cmul = lambda a, b: a * b % p
-            self._cneg = lambda a: -a % p
-        self._zero = self.coerce(0)
         self._src = {a.name: a.source for a in quiver.arrows}
         self._tgt = {a.name: a.target for a in quiver.arrows}
         self._out = {v: tuple(sorted(a.name for a in quiver.arrows if a.source == v))
@@ -95,6 +78,11 @@ class LeavittAlgebra:
                     for v in self.vertices}
         # Smallest arrow id at each non-sink: the CK junction pivot.
         self.special = {v: out[0] for v, out in self._out.items() if out}
+
+    @staticmethod
+    def coerce(c):
+        """A scalar as a coefficient: an int while integral, else a Fraction."""
+        return int(c) if c == int(c) else Fraction(c)
 
     # -- paths -----------------------------------------------------------
 
@@ -175,20 +163,18 @@ class LeavittAlgebra:
         are reproducible.
         """
         pending = list(terms)
-        zero = self._zero
         if len(pending) == 1 and self._is_normal(pending[0][0]):
             mon, c = pending[0]
-            return {mon: c} if c != zero else {}
+            return {mon: c} if c else {}
         done: dict = {}
         while pending:
             mon, c = pending.pop() if pick is None else pending.pop(pick(pending))
             step = self._junction_expand(mon)
             if step is None:
-                done[mon] = self._cadd(done.get(mon, zero), c)
+                done[mon] = done.get(mon, 0) + c
             else:
-                neg = self._cneg(c)
-                pending.extend((m2, c if sign > 0 else neg) for sign, m2 in step)
-        return {m: c for m, c in done.items() if c != zero}
+                pending.extend((m2, c if sign > 0 else -c) for sign, m2 in step)
+        return {m: c for m, c in done.items() if c}
 
     # -- element constructors ---------------------------------------------
 
@@ -199,18 +185,18 @@ class LeavittAlgebra:
         terms = {}
         for v in self.vertices:
             p = self.empty_path(v)
-            terms[Monomial(p, p)] = self.coerce(1)
+            terms[Monomial(p, p)] = 1
         return Element(self, terms)
 
     def vertex(self, v: str) -> "Element":
         p = self.empty_path(v)
-        return Element(self, {Monomial(p, p): self.coerce(1)})
+        return Element(self, {Monomial(p, p): 1})
 
     def arrow(self, name: str) -> "Element":
         if name not in self._src:
             raise ValueError(f"unknown arrow {name!r}")
         p = self.path([name])
-        return Element(self, {Monomial(p, self.empty_path(p.target)): self.coerce(1)})
+        return Element(self, {Monomial(p, self.empty_path(p.target)): 1})
 
     def element(self, terms) -> "Element":
         """Element from (monomial, coefficient) pairs, normalized."""
@@ -242,33 +228,30 @@ class Element:
         return tuple(sorted(self._terms.items(), key=lambda t: _sort_key(t[0])))
 
     def coefficient(self, mon: Monomial):
-        """Over Q an int or a Fraction; Fraction(k) == k either way."""
-        return self._terms.get(mon, self.algebra._zero)
+        """An int or a Fraction; Fraction(k) == k either way."""
+        return self._terms.get(mon, 0)
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     def _check_partner(self, other: "Element"):
-        if self.algebra.quiver != other.algebra.quiver \
-                or self.algebra.coeff_prime != other.algebra.coeff_prime:
+        if self.algebra.quiver != other.algebra.quiver:
             raise ValueError("elements live over different quivers")
 
     def __add__(self, other: "Element") -> "Element":
         self._check_partner(other)
-        alg = self.algebra
         out = dict(self._terms)
         for m, c in other._terms.items():
-            s = alg._cadd(out.get(m, alg._zero), c)
-            if s == alg._zero:
+            s = out.get(m, 0) + c
+            if not s:
                 out.pop(m, None)
             else:
                 out[m] = s
-        return Element(alg, out)
+        return Element(self.algebra, out)
 
     def __neg__(self) -> "Element":
-        alg = self.algebra
-        return Element(alg, {m: alg._cneg(c) for m, c in self._terms.items()})
+        return Element(self.algebra, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
@@ -277,16 +260,16 @@ class Element:
         alg = self.algebra
         if not isinstance(other, Element):
             c = alg.coerce(other)
-            if c == alg._zero:
+            if not c:
                 return alg.zero()
-            return Element(alg, {m: alg._cmul(x, c) for m, x in self._terms.items()})
+            return Element(alg, {m: x * c for m, x in self._terms.items()})
         self._check_partner(other)
         raw = []
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 prod = alg._mul_monomials(m1, m2)
                 if prod is not None:
-                    raw.append((prod, alg._cmul(c1, c2)))
+                    raw.append((prod, c1 * c2))
             if len(raw) > _PRODUCT_LIMIT:
                 raise SizeLimitError(
                     f"product would exceed {_PRODUCT_LIMIT} terms")
@@ -318,11 +301,10 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         return self.algebra.quiver == other.algebra.quiver \
-            and self.algebra.coeff_prime == other.algebra.coeff_prime \
             and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.algebra.quiver, self.algebra.coeff_prime,
+        return hash((self.algebra.quiver,
                      tuple(sorted(self._terms.items(), key=lambda t: _sort_key(t[0])))))
 
     def __repr__(self) -> str:
@@ -414,8 +396,8 @@ class CornerAxiomReport:
 def random_degree_zero_element(alg: LeavittAlgebra, rng,
                                max_len: int = 2) -> Element:
     """Random degree-0 element of 1 to 3 terms built from backward walks."""
-    coeff_pool = [1, -1, 2, -2, 3] if alg.coeff_prime else \
-        [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-2, 3)]
+    coeff_pool = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
+                  Fraction(-2, 3)]
     terms = []
     for _ in range(rng.randint(1, 3)):
         d = rng.randint(0, max_len)
@@ -435,8 +417,7 @@ def random_degree_zero_element(alg: LeavittAlgebra, rng,
 
 
 def verify_corner_axioms(alg: "LeavittAlgebra | Quiver | OrderedQuiver",
-                         samples: int = 25, seed: int = 0,
-                         max_len: int = 2) -> CornerAxiomReport:
+                         samples: int = 25, seed: int = 0) -> CornerAxiomReport:
     """Check the corner-skew identities on the quiver's corner data.
 
     Beyond the two defining relations, the commutation rules
@@ -452,8 +433,8 @@ def verify_corner_axioms(alg: "LeavittAlgebra | Quiver | OrderedQuiver",
         ("phi(1) == e", corner_phi(alg.one(), corner) == corner.e),
     ]
     for i in range(samples):
-        a = random_degree_zero_element(alg, rng, max_len=max_len)
-        b = random_degree_zero_element(alg, rng, max_len=max_len)
+        a = random_degree_zero_element(alg, rng)
+        b = random_degree_zero_element(alg, rng)
         phi_a = corner_phi(a, corner)
         phi_b = corner_phi(b, corner)
         checks.append((f"sample {i}: a.t- == t-.phi(a)",

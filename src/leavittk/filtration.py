@@ -121,8 +121,8 @@ def _spanning_monomials(q: OrderedQuiver, n: int, by_target):
 
 
 def _span_rank(alg: LeavittAlgebra, monomials) -> int:
-    """Rank of the normal forms of `monomials` over alg's coefficients,
-    by sparse elimination on leading monomials.
+    """Rank over Q of the normal forms of `monomials`, by sparse
+    elimination on leading monomials.
 
     A row's lead is its shortest term.  A normal monomial is its own row.
     The row of a non-normal spanning monomial s'g.(t'g)*, g a special
@@ -136,34 +136,32 @@ def _span_rank(alg: LeavittAlgebra, monomials) -> int:
     A pivot whose row went in unreduced and unscaled keeps only the
     monomial it came from, rewritten again only on such a collision.
     """
-    one, zero = alg.coerce(1), alg._zero
-    add, mul, neg = alg._cadd, alg._cmul, alg._cneg
     pivots: dict = {}  # lead -> row, or the monomial the row came from
     for mon in monomials:
         if alg._is_normal(mon):
             if mon not in pivots:
                 pivots[mon] = mon
                 continue
-            row = {mon: one}
+            row = {mon: 1}
         else:
-            row = alg._normalize([(mon, one)])
+            row = alg._normalize([(mon, 1)])
         source = mon
         while row:
             lead = min(row, key=_sort_key) if len(row) > 1 else next(iter(row))
             if lead not in pivots:
-                if row[lead] != one:
+                if row[lead] != 1:
                     inv = alg.coerce(Fraction(1, row[lead]))
-                    row = {k: mul(c, inv) for k, c in row.items()}
+                    row = {k: c * inv for k, c in row.items()}
                     source = None
                 pivots[lead] = row if source is None else source
                 break
             pivot, source = pivots[lead], None
             if not isinstance(pivot, dict):
-                pivot = alg._normalize([(pivot, one)])
-            factor = neg(row[lead])
+                pivot = alg._normalize([(pivot, 1)])
+            factor = -row[lead]
             for k, c in pivot.items():
-                s = add(row.get(k, zero), mul(factor, c))
-                if s == zero:
+                s = row.get(k, 0) + factor * c
+                if not s:
                     row.pop(k, None)
                 else:
                     row[k] = s
@@ -238,8 +236,8 @@ def _phi(q, alg, by_target, src, dst) -> IntMatrix:
             for m2, c2 in tminus:
                 out = alg._mul_monomials(mid, m2)
                 if out is not None:
-                    raw.append((out, alg._cmul(c1, c2)))
-        if len(raw) != 1 or raw[0][1] != alg.coerce(1):
+                    raw.append((out, c1 * c2))
+        if len(raw) != 1 or raw[0][1] != 1:
             raise AssertionError("corner image is not a single idempotent")
         image = raw[0][0]
         if image.left != image.right or len(image.left) != block.level + 1:

@@ -172,26 +172,21 @@ class DegreeData:
 class CoefficientTheory:
     """Per-degree coefficient groups with their induced endomorphisms.
 
-    Degrees absent from `degrees` are looked up modulo `period` when a
-    period is declared, and are an error otherwise.
+    Every degree the sequence reads must be listed in `degrees`; a degree
+    absent from it is an error.
     """
 
     degrees: tuple  # ((degree, DegreeData), ...)
-    period: int | None = None
 
     @cached_property
     def _by_degree(self) -> dict:
         return dict(self.degrees)
 
     def data_at(self, n: int) -> DegreeData:
-        table = self._by_degree
-        if n in table:
-            return table[n]
-        if self.period:
-            for k in sorted(table):
-                if (n - k) % self.period == 0:
-                    return table[k]
-        raise KeyError(f"no coefficient data for degree {n}")
+        try:
+            return self._by_degree[n]
+        except KeyError:
+            raise KeyError(f"no coefficient data for degree {n}") from None
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,9 @@ def parse_quiver(text: str) -> Quiver:
 
     `#` starts a comment; `vertices <id>...` declares vertices in order
     (several lines allowed); `arrow <id> <source> <target>` declares one
-    arrow.  Tokens are whitespace-separated; there is no escaping.
+    arrow.  Tokens are whitespace-separated; there is no escaping.  No
+    vertex or arrow id may contain `=`, which separates a record's key
+    from its value in the CLI's records format.
     """
     vertices: list = []
     seen_vertices: set = set()
@@ -151,6 +153,8 @@ def parse_quiver(text: str) -> Quiver:
             if len(tokens) < 2:
                 raise QuiverParseError(lineno, "expected at least one vertex id")
             for tok in tokens[1:]:
+                if "=" in tok:
+                    raise QuiverParseError(lineno, f"'=' in vertex id {tok!r}")
                 if tok in seen_vertices:
                     raise QuiverParseError(lineno, f"duplicate vertex id {tok!r}")
                 seen_vertices.add(tok)
@@ -159,6 +163,8 @@ def parse_quiver(text: str) -> Quiver:
             if len(tokens) != 4:
                 raise QuiverParseError(
                     lineno, "expected 'arrow <id> <source> <target>'")
+            if "=" in tokens[1]:
+                raise QuiverParseError(lineno, f"'=' in arrow id {tokens[1]!r}")
             arrow_lines.append((lineno, Arrow(tokens[1], tokens[2], tokens[3])))
         else:
             raise QuiverParseError(lineno, f"unknown directive {tokens[0]!r}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
-import threading
+import signal
 
 from leavittk import OrderedQuiver, Quiver, order_sinks_first
 from leavittk.ktheory import rose_quiver
@@ -110,19 +110,38 @@ def literal_torsion_counts(matrix, m: int, qs) -> dict:
     return counts
 
 
+class _Overrun(BaseException):
+    """Raised into a bounded call when its time is up; a BaseException,
+    so the call's own `except Exception` clauses do not swallow it."""
+
+
 def call_within(seconds: float, fn):
-    """fn() in a daemon thread: its return value or the exception it
-    raised, or None while it is still running after `seconds`, so that a
-    hang fails the calling test instead of stalling the suite."""
-    outcome = []
+    """fn() under a one-shot real-time timer: its return value or the
+    exception it raised, or None when it ran past `seconds`, in which
+    case it is stopped there, so that a hang fails the calling test
+    instead of stalling the suite.
 
-    def run():
+    Signals are handled on the main thread between bytecodes, so this
+    must be called on the main thread, and it cannot interrupt a single
+    long C-level call (say, one huge integer power): such a call is
+    stopped only once it returns.
+    """
+    def overrun(signum, frame):
+        raise _Overrun
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    try:
         try:
-            outcome.append(fn())
-        except Exception as exc:
-            outcome.append(exc)
-
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(seconds)
-    return outcome[0] if outcome else None
+            signal.setitimer(signal.ITIMER_REAL, seconds)
+            try:
+                return fn()
+            except Exception as exc:
+                return exc
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+        except _Overrun:
+            # also when the timer fired after fn() returned, before it
+            # was disarmed: the call took its whole limit either way
+            return None
+    finally:
+        signal.signal(signal.SIGALRM, previous)

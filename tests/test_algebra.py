@@ -334,26 +334,6 @@ class TestEnumerateBasis:
         assert enumerate_basis(alg, 2) == enumerate_basis(alg, 2)
 
 
-class TestPrimeFieldOption:
-    def test_mod_two_collapse(self):
-        alg = LeavittAlgebra(rose(2), coeff_prime=2)
-        x = alg.arrow("a1")
-        assert x + x == alg.zero()
-        assert (x.star() * x) == alg.one()
-
-    def test_ck2_holds_mod_p(self):
-        alg = LeavittAlgebra(rose(3), coeff_prime=5)
-        acc = alg.zero()
-        for name in ("a1", "a2", "a3"):
-            a = alg.arrow(name)
-            acc = acc + a * a.star()
-        assert acc == alg.one()
-
-    def test_fraction_coercion(self):
-        alg = LeavittAlgebra(rose(2), coeff_prime=7)
-        assert alg.coerce(Fraction(2, 3)) == 2 * pow(3, -1, 7) % 7
-
-
 class TestRationalRing:
     """Integral rationals are kept as int, and an int coefficient and an
     equal Fraction make the same element."""

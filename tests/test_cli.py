@@ -82,6 +82,15 @@ class TestExitCodes:
         assert out == ""
         assert "undeclared endpoint" in err
 
+    def test_equals_sign_in_vertex_id(self, tmp_path):
+        """A records key holds the vertex id, and `=` would end it early."""
+        bad = tmp_path / "equals.q"
+        bad.write_text("vertices a=b c\narrow x c c\narrow y c a=b\n")
+        code, out, err = run_cli(["filtration", str(bad), "--level", "1",
+                                  "--format", "records"])
+        assert code == 1 and out == ""
+        assert "'=' in vertex id 'a=b'" in err
+
     def test_missing_file(self):
         code, out, err = run_cli(["kmod", "no-such-file.q", "--mod", "4"])
         assert code == 1 and out == ""

@@ -6,7 +6,7 @@ import pytest
 from helpers import call_within, jacobson_quiver, random_no_source_quiver, \
     rose, toeplitz_quiver
 from leavittk import cli, filtration
-from leavittk.algebra import LeavittAlgebra, _paths_by_target
+from leavittk.algebra import LeavittAlgebra, _paths_by_target, _sort_key
 from leavittk.filtration import (block_profile, expected_inclusion_matrix,
                                  expected_phi_matrix, filtration_span_dim,
                                  inclusion_k0_matrix, phi_k0_matrix,
@@ -17,10 +17,6 @@ from leavittk.matrices import IntMatrix
 from leavittk.quiver import SourcesPresentError, order_sinks_first, parse_quiver
 
 DATA = Path(__file__).parent / "data"
-
-# A prime field to cross-check the rational span rank in: the largest
-# prime below 2^31.
-PRIME = 2 ** 31 - 1
 
 FIXTURE_QUIVERS = [
     toeplitz_quiver(),
@@ -123,13 +119,13 @@ class TestLevelBound:
 
 def _count_builds(monkeypatch) -> dict:
     """Patch LeavittAlgebra.__init__ and filtration.block_profile to count
-    calls: "Q" and "F_p" algebra builds, and "profiles"."""
-    counts = {"Q": 0, "F_p": 0, "profiles": 0}
+    calls: algebra "builds" and "profiles"."""
+    counts = {"builds": 0, "profiles": 0}
     init, profile = LeavittAlgebra.__init__, filtration.block_profile
 
-    def counting_init(self, quiver, coeff_prime=None):
-        counts["Q" if coeff_prime is None else "F_p"] += 1
-        init(self, quiver, coeff_prime)
+    def counting_init(self, quiver):
+        counts["builds"] += 1
+        init(self, quiver)
 
     def counting_profile(q, n):
         counts["profiles"] += 1
@@ -140,29 +136,13 @@ def _count_builds(monkeypatch) -> dict:
     return counts
 
 
-class TestSpanOverPrimeField:
-    """The span is reduced over Q; the same rows reduced over F_p give
-    the same rank on every data quiver."""
-
-    @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.q")))
-    def test_prime_and_rational_ranks_agree(self, name):
-        q = order_sinks_first(parse_quiver((DATA / name).read_text()))
-        for n in range(4):
-            field, rational = LeavittAlgebra(q, PRIME), LeavittAlgebra(q)
-            monomials = filtration._spanning_monomials(
-                q, n, _paths_by_target(rational, n, filtration._SPAN_LIMIT))
-            rank = filtration._span_rank(rational, monomials)
-            assert filtration._span_rank(field, monomials) == rank
-            assert filtration_span_dim(q, n) == rank
-
-
 def _stage_two(name: str) -> tuple:
-    """F_p and Q algebras of a data quiver and its stage-2 spanning set."""
+    """The algebra of a data quiver and its stage-2 spanning set."""
     q = DATA_QUIVERS[name]
-    field, rational = LeavittAlgebra(q, PRIME), LeavittAlgebra(q)
+    alg = LeavittAlgebra(q)
     monomials = filtration._spanning_monomials(
-        q, 2, _paths_by_target(rational, 2, filtration._SPAN_LIMIT))
-    return field, rational, monomials
+        q, 2, _paths_by_target(alg, 2, filtration._SPAN_LIMIT))
+    return alg, monomials
 
 
 class TestShortestLeadPivots:
@@ -174,33 +154,50 @@ class TestShortestLeadPivots:
         """Stage 2 plus the one-step rewrite summands s't'* and s'a(t'a)*
         of its first non-normal monomial s'g(t'g)*: those summands and
         that monomial satisfy one linear relation."""
-        field, rational, monomials = _stage_two(name)
-        rewrite = next(step for step in map(rational._junction_expand,
-                                            monomials) if step is not None)
+        alg, monomials = _stage_two(name)
+        rewrite = next(step for step in map(alg._junction_expand, monomials)
+                       if step is not None)
         dependent = monomials + [m for _, m in rewrite if m not in monomials]
         assert len(dependent) > len(monomials)
-        for alg in (field, rational):
-            assert call_within(5, lambda: filtration._span_rank(
-                alg, dependent)) == len(dependent) - 1
+        assert call_within(5, lambda: filtration._span_rank(
+            alg, dependent)) == len(dependent) - 1
+
+    @pytest.mark.parametrize("name", DATA_QUIVERS)
+    def test_summand_first_rescales_a_lead(self, name):
+        """Stage 2 after the lead s't'* of its first non-normal monomial
+        s'g(t'g)*: the rewrite summand with every common special-arrow
+        suffix stripped.  That monomial's row reduces against s't'* to
+        the terms that remain, whose lead has coefficient -1.  Where that
+        lead is no pivot yet, the row must be rescaled before it becomes
+        one: on jacobson2 and the roses of two and three petals (a rose of
+        one petal leaves no such term, and toeplitz's sink-level monomials
+        come first).  The set spans what stage 2 spans."""
+        alg, monomials = _stage_two(name)
+        mon = next(m for m in monomials if not alg._is_normal(m))
+        row = alg._normalize([(mon, 1)])
+        lead = min(row, key=_sort_key)
+        assert row.pop(lead) == 1 and lead not in monomials
+        if len(alg._out[lead.left.target]) > 1:
+            assert row[min(row, key=_sort_key)] == -1
+        assert call_within(5, lambda: filtration._span_rank(
+            alg, [lead] + monomials)) == len(monomials)
 
     @pytest.mark.parametrize("name", DATA_QUIVERS)
     def test_collision_with_a_kept_source_monomial(self, name):
         """The non-normal monomials of stage 2, the first one twice.  The
         first copy's pivot keeps only that monomial, so the second copy
         must be reduced against its whole normal form, rewritten again."""
-        field, rational, monomials = _stage_two(name)
-        sources = [m for m in monomials if not rational._is_normal(m)]
+        alg, monomials = _stage_two(name)
+        sources = [m for m in monomials if not alg._is_normal(m)]
         assert sources
-        for alg in (field, rational):
-            assert call_within(5, lambda: filtration._span_rank(
-                alg, sources + sources[:1])) == len(sources)
+        assert call_within(5, lambda: filtration._span_rank(
+            alg, sources + sources[:1])) == len(sources)
 
     @pytest.mark.parametrize("name", DATA_QUIVERS)
     def test_repeated_set_keeps_its_rank(self, name):
-        field, rational, monomials = _stage_two(name)
-        for alg in (field, rational):
-            assert call_within(5, lambda: filtration._span_rank(
-                alg, monomials + monomials)) == len(monomials)
+        alg, monomials = _stage_two(name)
+        assert call_within(5, lambda: filtration._span_rank(
+            alg, monomials + monomials)) == len(monomials)
 
 
 class TestBuildsOncePerCall:
@@ -209,7 +206,7 @@ class TestBuildsOncePerCall:
         want = block_profile(q, 3).sum_of_squares
         counts = _count_builds(monkeypatch)
         assert filtration_span_dim(q, 3) == want
-        assert counts == {"Q": 1, "F_p": 0, "profiles": 0}
+        assert counts == {"builds": 1, "profiles": 0}
 
     def test_filtration_command(self, monkeypatch, capsys):
         counts = _count_builds(monkeypatch)
@@ -224,14 +221,14 @@ class TestBuildsOncePerCall:
         assert cli.main(["filtration", str(DATA / "jacobson2.q"),
                          "--level", "3"]) == 0
         assert "dimension match: OK" in capsys.readouterr().out
-        assert counts == {"Q": 1, "F_p": 0, "profiles": 2}
+        assert counts == {"builds": 1, "profiles": 2}
         assert tables == [3]
 
     def test_stabilized_block_difference(self, monkeypatch):
         counts = _count_builds(monkeypatch)
         q = jacobson_quiver(2)
         assert stabilized_block_difference(q, 3) == leavitt_matrix(q)
-        assert counts == {"Q": 1, "F_p": 0, "profiles": 2}
+        assert counts == {"builds": 1, "profiles": 2}
 
 
 class TestTransitionMatrices:

@@ -197,10 +197,10 @@ class TestCornerLes:
 
     def test_periodic_lookup(self):
         data = DegreeData(phi=IntMatrix([[2]]), modulus=Modulus.of(4))
-        theory = CoefficientTheory(degrees=((0, data), (1, data)), period=2)
-        assert theory.data_at(6) is theory.data_at(0)
-        with pytest.raises(KeyError):
-            CoefficientTheory(degrees=((0, data),)).data_at(5)
+        theory = CoefficientTheory(degrees=((0, data),))
+        assert theory.data_at(0) is data
+        with pytest.raises(KeyError, match="no coefficient data for degree 5"):
+            theory.data_at(5)
 
     def test_widest_window_runs(self):
         entries = call_within(2, lambda: les_table_for_quiver(
@@ -437,7 +437,8 @@ class TestOneReductionPerMatrix:
 
     def test_corner_les_integral_data(self, local_calls, snf_calls):
         data = DegreeData(phi=IntMatrix([[3]]))
-        theory = CoefficientTheory(degrees=((0, data),), period=1)
+        theory = CoefficientTheory(degrees=tuple((n, data)
+                                                 for n in range(-1, 6)))
         entries = corner_les(theory, 0, 5)
         assert len(snf_calls) == 1 and local_calls == []
         assert all(e.sub == G(2) and e.quotient.is_trivial for e in entries)

@@ -54,6 +54,15 @@ class TestParsing:
             parse_quiver("# nothing here\n")
         assert "empty vertex set" in str(err.value)
 
+    def test_equals_sign_in_ids(self):
+        """`=` ends a record's key, so no id may contain it."""
+        with pytest.raises(QuiverParseError) as err:
+            parse_quiver("vertices a=b c\narrow x c c")
+        assert err.value.line == 1 and "'=' in vertex id 'a=b'" in str(err.value)
+        with pytest.raises(QuiverParseError) as err:
+            parse_quiver("vertices c\narrow x=y c c")
+        assert err.value.line == 2 and "'=' in arrow id 'x=y'" in str(err.value)
+
     def test_syntax_errors(self):
         with pytest.raises(QuiverParseError):
             parse_quiver("vertices a\narrow x a")
