@@ -72,10 +72,13 @@ class LeavittAlgebra:
         self.vertices = tuple(quiver.vertices)
         self._src = {a.name: a.source for a in quiver.arrows}
         self._tgt = {a.name: a.target for a in quiver.arrows}
-        self._out = {v: tuple(sorted(a.name for a in quiver.arrows if a.source == v))
-                     for v in self.vertices}
-        self._in = {v: tuple(sorted(a.name for a in quiver.arrows if a.target == v))
-                    for v in self.vertices}
+        by_source = {v: [] for v in self.vertices}
+        by_target = {v: [] for v in self.vertices}
+        for a in quiver.arrows:
+            by_source[a.source].append(a.name)
+            by_target[a.target].append(a.name)
+        self._out = {v: tuple(sorted(names)) for v, names in by_source.items()}
+        self._in = {v: tuple(sorted(names)) for v, names in by_target.items()}
         # Smallest arrow id at each non-sink: the CK junction pivot.
         self.special = {v: out[0] for v, out in self._out.items() if out}
 
@@ -347,19 +350,12 @@ class CornerData:
     designated: tuple  # ((vertex, arrow), ...) in vertex order
 
 
-def _as_algebra(context) -> LeavittAlgebra:
-    if isinstance(context, LeavittAlgebra):
-        return context
-    return LeavittAlgebra(context)
-
-
-def corner_data(alg: "LeavittAlgebra | Quiver | OrderedQuiver") -> CornerData:
+def corner_data(alg: LeavittAlgebra) -> CornerData:
     """Designated arrows are the smallest arrow id ending at each vertex.
 
     Needs a source-free quiver so the choice exists everywhere; the
     defining identities are re-checked by actual multiplication.
     """
-    alg = _as_algebra(alg)
     require_no_sources(alg.quiver)
     designated = tuple((v, alg._in[v][0]) for v in alg.vertices)
     t_plus = alg.zero()
@@ -416,15 +412,14 @@ def random_degree_zero_element(alg: LeavittAlgebra, rng,
     return alg.element(terms)
 
 
-def verify_corner_axioms(alg: "LeavittAlgebra | Quiver | OrderedQuiver",
-                         samples: int = 25, seed: int = 0) -> CornerAxiomReport:
+def verify_corner_axioms(alg: LeavittAlgebra, samples: int = 25,
+                         seed: int = 0) -> CornerAxiomReport:
     """Check the corner-skew identities on the quiver's corner data.
 
     Beyond the two defining relations, the commutation rules
     a.t- = t-.phi(a) and t+.a = phi(a).t+ and multiplicativity of phi
     are tested on pseudo-random degree-0 elements.
     """
-    alg = _as_algebra(alg)
     corner = corner_data(alg)
     rng = random.Random(seed)
     checks = [
@@ -451,14 +446,12 @@ _BASIS_LIMIT = 20000
 _PRODUCT_LIMIT = 20000
 
 
-def enumerate_basis(alg: "LeavittAlgebra | Quiver | OrderedQuiver",
-                    max_path_len: int) -> list:
+def enumerate_basis(alg: LeavittAlgebra, max_path_len: int) -> list:
     """All normal-form monomials with both sides of length <= max_path_len.
 
     Deterministic order; raises SizeLimitError when the candidate count
     would exceed 20000.
     """
-    alg = _as_algebra(alg)
     by_target = _paths_by_target(alg, max_path_len, _BASIS_LIMIT)
     out = []
     for w in alg.vertices:

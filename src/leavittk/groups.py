@@ -50,14 +50,22 @@ def _proven_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, trial_limit: int | None = None) -> tuple:
+class SizeLimitError(ValueError):
+    """Raised when an exhaustive computation would be too large."""
+
+
+# factorize tries no divisor at or above this, so every n below its
+# square still factors and no n costs more than ~5e5 divisions.
+_TRIAL_LIMIT = 10 ** 6
+
+
+def factorize(n: int) -> tuple:
     """Prime factorization ((p, e), ...) with strictly increasing primes.
 
-    Trial division, which stops as soon as the cofactor left is proven
-    prime by deterministic Miller-Rabin (below 3.3e24 only).  With a
-    trial_limit, no divisor at or above it is tried, and a cofactor left
-    that is not proven prime (so at least trial_limit**2) raises
-    ValueError.
+    Trial division below 10^6, which stops as soon as the cofactor left
+    is proven prime by deterministic Miller-Rabin (below 3.3e24 only).
+    A cofactor left that is not proven prime (so at least 10^12) raises
+    SizeLimitError.
 
     >>> factorize(360)
     ((2, 3), (3, 2), (5, 1))
@@ -71,10 +79,10 @@ def factorize(n: int, trial_limit: int | None = None) -> tuple:
     p = 2
     prime = _proven_prime(n)
     while not prime and p * p <= n:
-        if trial_limit is not None and p >= trial_limit:
-            raise ValueError(
+        if p >= _TRIAL_LIMIT:
+            raise SizeLimitError(
                 f"cannot factor {original}: no prime factor below "
-                f"{trial_limit}, and the cofactor {n} is not proven prime")
+                f"{_TRIAL_LIMIT}, and the cofactor {n} is not proven prime")
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -88,11 +96,6 @@ def factorize(n: int, trial_limit: int | None = None) -> tuple:
     return tuple(out)
 
 
-# Modulus.of tries no divisor at or above this, so every m below its
-# square still factors and no modulus costs more than ~5e5 divisions.
-_MODULUS_TRIAL_LIMIT = 10 ** 6
-
-
 @dataclass(frozen=True)
 class Modulus:
     """A coefficient modulus m >= 2 together with its factorization."""
@@ -103,11 +106,11 @@ class Modulus:
     @classmethod
     def of(cls, m: int) -> "Modulus":
         """The modulus m with its factorization; raises ValueError when
-        m < 2 or m cannot be factored within the trial-division limit
-        (a cofactor of 1e12 or more that is not proven prime)."""
+        m < 2, and factorize's SizeLimitError (a ValueError) when m has
+        a cofactor of 1e12 or more that is not proven prime."""
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
-        return cls(m=m, factorization=factorize(m, _MODULUS_TRIAL_LIMIT))
+        return cls(m=m, factorization=factorize(m))
 
     @property
     def is_prime_power(self) -> bool:
@@ -378,10 +381,6 @@ def cokernel_mod(matrix: IntMatrix, modulus: Modulus) -> FinAbGroup:
 def kernel_mod(matrix: IntMatrix, modulus: Modulus) -> FinAbGroup:
     """Kernel of the induced map (Z/m)^cols -> (Z/m)^rows."""
     return kernel_cokernel_mod(matrix, modulus)[0]
-
-
-class SizeLimitError(ValueError):
-    """Raised when an exhaustive computation would be too large."""
 
 
 _ORACLE_BOUND = 10 ** 6

@@ -308,6 +308,8 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
     tensors those groups with Z/l^nu: a Smith invariant d gives
     Z/gcd(d, l^E), and gcd(gcd(d, l^E), l^nu) = gcd(d, l^nu) for nu <= E,
     while an unused row or column gives Z/l^E (x) Z/l^nu = Z/l^nu.
+    A sink-free |det| is factored before any elimination, so one that
+    factorize cannot finish raises SizeLimitError at no elimination cost.
     """
     q = as_ordered(q)
     primes = list(primes)
@@ -322,8 +324,6 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
                 or l ** nu >= _POWER_BOUND:
             raise SizeLimitError(f"{l}^{nu} has more than 4300 digits")
         top[l] = max(nu, top.get(l, 0))
-    over_top = {l: kernel_cokernel_mod(matrix, Modulus(l ** e, ((l, e),)))
-                for l, e in top.items()}
     sink_free = q.v_prime == 0
     det = None
     det_primes = None
@@ -332,6 +332,8 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
         if det != 0:
             det_primes = tuple(p for p, _ in factorize(abs(det))) if abs(det) > 1 \
                 else ()
+    over_top = {l: kernel_cokernel_mod(matrix, Modulus(l ** e, ((l, e),)))
+                for l, e in top.items()}
     entries = []
     for l, nu in primes:
         modulus = Modulus(l ** nu, ((l, nu),))

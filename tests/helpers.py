@@ -88,6 +88,20 @@ def dense_quiver(rng: random.Random, v: int, most: int) -> OrderedQuiver:
     return order_sinks_first(Quiver.build(vertices, arrows))
 
 
+def unfactorable_dense_quiver() -> OrderedQuiver:
+    """20 sink-free vertices v0..v19 with random.Random(95).randint(0, 10)
+    arrows a{i}_{j}_{k} from v_i to v_j, pairs in row-major order: 1,974
+    arrows and det -368029041531894267421 = -13 * 2072142187 *
+    13662154291, whose cofactor after 13 has no prime factor below 10^6
+    and is not prime."""
+    rng = random.Random(95)
+    vertices = [f"v{i}" for i in range(20)]
+    arrows = [(f"a{i}_{j}_{k}", f"v{i}", f"v{j}")
+              for i in range(20) for j in range(20)
+              for k in range(rng.randint(0, 10))]
+    return order_sinks_first(Quiver.build(vertices, arrows))
+
+
 def literal_torsion_counts(matrix, m: int, qs) -> dict:
     """q -> (#{x in ker : q.x = 0}, #{y + im in coker : q.y in im}) for
     the map (Z/m)^cols -> (Z/m)^rows, straight from the definitions: one

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ENGINE_QUIVERS, jacobson_quiver, rose, toeplitz_quiver
+from helpers import (ENGINE_QUIVERS, call_within, jacobson_quiver, rose,
+                     toeplitz_quiver)
 from leavittk.algebra import (LeavittAlgebra, Monomial, corner_data,
                               corner_phi, enumerate_basis,
                               random_degree_zero_element, render_element,
                               verify_corner_axioms)
 from leavittk.element_syntax import ElementSyntaxError, parse_element
 from leavittk.groups import SizeLimitError
-from leavittk.quiver import parse_quiver
+from leavittk.quiver import Quiver, parse_quiver
 
 
 def l1_algebra():
@@ -69,6 +70,31 @@ class TestProducts:
         assert len(power.terms()) == 2 ** 14
         with pytest.raises(SizeLimitError, match="20000 terms"):
             power * s
+
+
+class TestConstruction:
+    def test_long_cycle_builds_in_one_pass(self):
+        # 20,000 vertices: a scan of every arrow per vertex would take
+        # 4e8 steps, one pass over the arrows takes 2e4
+        n = 20000
+        q = Quiver.build([f"v{i}" for i in range(n)],
+                         [(f"a{i}", f"v{i}", f"v{(i + 1) % n}")
+                          for i in range(n)])
+        alg = call_within(5, lambda: LeavittAlgebra(q))
+        assert isinstance(alg, LeavittAlgebra)
+        assert list(alg._out) == list(alg._in) == list(q.vertices)
+        for i in (0, 1, 9999, n - 1):
+            assert alg._out[f"v{i}"] == (f"a{i}",)
+            assert alg._in[f"v{i}"] == (f"a{(i - 1) % n}",)
+            assert alg.special[f"v{i}"] == f"a{i}"
+
+    def test_arrows_sorted_per_vertex(self):
+        q = Quiver.build(["u", "w"], [("c", "u", "w"), ("a", "u", "u"),
+                                      ("b", "w", "u")])
+        alg = LeavittAlgebra(q)
+        assert alg._out == {"u": ("a", "c"), "w": ("b",)}
+        assert alg._in == {"u": ("a", "b"), "w": ("c",)}
+        assert alg.special == {"u": "a", "w": "b"}
 
 
 class TestNormalForm:
@@ -260,10 +286,10 @@ class TestCornerData:
             corner_data(alg)
 
     def test_accepts_bare_quivers(self):
-        q = rose(2)
-        assert corner_data(q).t_plus == LeavittAlgebra(q).arrow("a1")
-        assert verify_corner_axioms(q, samples=3).passed
-        assert len(enumerate_basis(q, 1)) == 8
+        alg = LeavittAlgebra(rose(2))
+        assert corner_data(alg).t_plus == alg.arrow("a1")
+        assert verify_corner_axioms(alg, samples=3).passed
+        assert len(enumerate_basis(alg, 1)) == 8
 
 
 class TestCornerPhi:

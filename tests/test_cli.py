@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import call_within
+from helpers import call_within, unfactorable_dense_quiver
 from leavittk import cli, groups, ktheory
 from leavittk.cli import main, parse_records
 from leavittk.ktheory import DEFAULT_WINDOW
@@ -272,6 +272,19 @@ class TestAnalyze:
         assert code == 0
         assert "determinant = -2" in out
         assert "uniquely 5^1-divisible for n >= 0" in out
+
+    def test_unfactorable_determinant_exit_four(self, tmp_path):
+        q = unfactorable_dense_quiver()
+        path = tmp_path / "dense.q"
+        path.write_text("\n".join(
+            ["vertices " + " ".join(q.vertices)]
+            + [f"arrow {a.name} {a.source} {a.target}" for a in q.arrows]))
+        got = call_within(2, lambda: run_cli(["analyze", str(path),
+                                              "--primes", "2"]))
+        assert got == (4, "", "work bound exceeded: cannot factor "
+                       "368029041531894267421: no prime factor below "
+                       "1000000, and the cofactor 28309926271684174417 is "
+                       "not proven prime\n")
 
     def test_rose3_prime_two(self):
         _, out, _ = run_cli(["analyze", quiver_path("rose3.q"), "--primes", "2"])

@@ -146,6 +146,14 @@ class TestFactorize:
             Modulus.of(m)
         assert time.perf_counter() - start < 2
 
+    def test_unfactorable_raises_size_limit(self):
+        n = (10 ** 9 + 7) * (10 ** 9 + 9)
+        got = call_within(2, lambda: factorize(n))
+        assert isinstance(got, SizeLimitError)
+        assert str(got) == (f"cannot factor {n}: no prime factor below "
+                            f"1000000, and the cofactor {n} is not proven "
+                            "prime")
+
     def test_no_proof_claimed_at_or_above_bound(self):
         # strong pseudoprime to bases 2..37, caught by base 41
         assert not _proven_prime(318665857834031151167461)

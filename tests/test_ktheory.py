@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import call_within, jacobson_quiver, random_ladder_quiver, \
-    random_no_source_quiver, rose, toeplitz_quiver
+    random_no_source_quiver, rose, toeplitz_quiver, unfactorable_dense_quiver
 from leavittk import groups, ktheory
 from leavittk.groups import (FinAbGroup, Modulus, SizeLimitError,
                              brute_force_mod_oracle, local_smith_exponents)
@@ -329,6 +329,17 @@ class TestDivisibilityReport:
             rose(2), [(10 ** 25 + 13, 1)]))
         assert type(got) is ValueError
         assert str(got).endswith("(l must be proven prime, so below 3.3e24)")
+
+    def test_unfactorable_determinant_refused_before_elimination(
+            self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("eliminated before factoring")
+
+        monkeypatch.setattr(ktheory, "kernel_cokernel_mod", boom)
+        got = call_within(2, lambda: divisibility_report(
+            unfactorable_dense_quiver(), [(2, 1)]))
+        assert isinstance(got, SizeLimitError)
+        assert "cannot factor 368029041531894267421" in str(got)
 
     def test_rose_three_petals(self):
         q = rose(3)
