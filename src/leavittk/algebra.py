@@ -54,6 +54,11 @@ class Monomial(NamedTuple):
         return len(self.left) - len(self.right)
 
 
+# The hot Path and Monomial constructions: tuple.__new__ skips the
+# NamedTuple __new__ written in Python, and builds the same tuple.
+_new = tuple.__new__
+
+
 def _sort_key(mon: Monomial):
     l, r = mon.left, mon.right
     nl = len(l.arrows)
@@ -81,6 +86,11 @@ class LeavittAlgebra:
         self._in = {v: tuple(sorted(names)) for v, names in by_target.items()}
         # Smallest arrow id at each non-sink: the CK junction pivot.
         self.special = {v: out[0] for v, out in self._out.items() if out}
+        # special g -> (its source v, ((h, target of h) for the other
+        # arrows h at v)): all that one junction rewrite reads.
+        self._junction = {
+            g: (v, tuple((h, self._tgt[h]) for h in self._out[v] if h != g))
+            for v, g in self.special.items()}
 
     @staticmethod
     def coerce(c):
@@ -127,25 +137,22 @@ class LeavittAlgebra:
 
     def _is_normal(self, mon: Monomial) -> bool:
         la, ra = mon.left.arrows, mon.right.arrows
-        if not la or not ra or la[-1] != ra[-1]:
-            return True
-        arrow = la[-1]
-        return self.special[self._src[arrow]] != arrow
+        return not la or not ra or la[-1] != ra[-1] \
+            or la[-1] not in self._junction
 
     def _junction_expand(self, mon: Monomial):
         """One CK rewrite at the junction, or None if already normal."""
         if self._is_normal(mon):
             return None
-        arrow = mon.left.arrows[-1]
-        v = self._src[arrow]
-        left = Path(mon.left.source, v, mon.left.arrows[:-1])
-        right = Path(mon.right.source, v, mon.right.arrows[:-1])
-        out = [(1, Monomial(left, right))]
-        for other in self._out[v]:
-            if other != arrow:
-                w = self._tgt[other]
-                out.append((-1, Monomial(Path(left.source, w, left.arrows + (other,)),
-                                         Path(right.source, w, right.arrows + (other,)))))
+        left, right = mon
+        v, others = self._junction[left.arrows[-1]]
+        ls, la = left.source, left.arrows[:-1]
+        rs, ra = right.source, right.arrows[:-1]
+        out = [(1, _new(Monomial, (_new(Path, (ls, v, la)),
+                                   _new(Path, (rs, v, ra)))))]
+        for h, w in others:
+            out.append((-1, _new(Monomial, (_new(Path, (ls, w, la + (h,))),
+                                            _new(Path, (rs, w, ra + (h,)))))))
         return out
 
     def _mul_monomials(self, m1: Monomial, m2: Monomial) -> Monomial | None:
@@ -478,7 +485,7 @@ def _paths_by_target(alg: LeavittAlgebra, max_len: int, limit: int):
         for paths in levels[-1].values():
             for p in paths:
                 for a in alg._out[p.target]:
-                    q = Path(p.source, alg._tgt[a], p.arrows + (a,))
+                    q = _new(Path, (p.source, alg._tgt[a], p.arrows + (a,)))
                     nxt.setdefault(q.target, []).append(q)
                     total += 1
                     if total > limit:

@@ -11,7 +11,8 @@ matrix algebras, one block per label:
 
 of size p(m, w) = number of length-m paths into w.  The operations
 here certify that picture symbolically: the dimension of the stage is
-computed by actually reducing the spanning set, and the two
+computed from its spanning set, whose normal monomials are counted and
+whose other monomials are rewritten and reduced, and the two
 K-group-level transition matrices are recovered by decomposing
 idempotents with the rewriting engine rather than by trusting the
 counting formula.
@@ -22,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LeavittAlgebra, Monomial, _paths_by_target, _sort_key, \
-    corner_data, corner_phi
+from .algebra import LeavittAlgebra, Monomial, _new, _paths_by_target, \
+    _sort_key, corner_data, corner_phi
 from .groups import SizeLimitError
 from .matrices import IntMatrix
 from .quiver import OrderedQuiver, as_ordered, path_count_matrix, \
@@ -107,22 +108,43 @@ def block_profile(q: OrderedQuiver, n: int) -> BlockProfile:
     return BlockProfile(level=n, blocks=blocks)
 
 
-def _spanning_monomials(q: OrderedQuiver, n: int, by_target):
-    monomials = []
-    for m, w in _block_labels(q, n):
+def _spanning_monomials(alg: LeavittAlgebra, labels, by_target) -> tuple:
+    """(number of normal monomials, list of non-normal monomials) of the
+    spanning set of the blocks `labels`.
+
+    The spanning monomials of block (m, w) are the pairs s.t* of paths
+    in P, the length-m paths into w.  Such a pair is non-normal exactly
+    when s and t end in one special arrow g, so with P_g the paths of P
+    that end in g the block holds |P|^2 - sum_g |P_g|^2 normal monomials.
+    Those are counted, not built; the non-normal ones are built in the
+    order of the whole set.
+    """
+    total, monomials = 0, []
+    for m, w in labels:
         paths = by_target[m].get(w, ())
-        if len(monomials) + len(paths) ** 2 > _SPAN_LIMIT:
+        if total + len(paths) ** 2 > _SPAN_LIMIT:
             raise SizeLimitError(
                 f"spanning set would exceed {_SPAN_LIMIT} monomials")
+        total += len(paths) ** 2
+        ending: dict = {}  # special g -> P_g
+        for p in paths:
+            if p.arrows and p.arrows[-1] in alg._junction:
+                ending.setdefault(p.arrows[-1], []).append(p)
         for left in paths:
-            for right in paths:
-                monomials.append(Monomial(left, right))
-    return monomials
+            if left.arrows:
+                monomials.extend(_new(Monomial, (left, right))
+                                 for right in ending.get(left.arrows[-1], ()))
+    return total - len(monomials), monomials
 
 
-def _span_rank(alg: LeavittAlgebra, monomials) -> int:
-    """Rank over Q of the normal forms of `monomials`, by sparse
-    elimination on leading monomials.
+def _span_rank(alg: LeavittAlgebra, labels, monomials) -> int:
+    """Rank over Q of the normal forms of `monomials` modulo the normal
+    spanning monomials of the blocks `labels` (the plain rank when
+    `labels` is empty), by sparse elimination on leading monomials.
+
+    Those normal monomials are implicit pivots with rows {itself: 1}, so
+    a row drops every term that is one of them, a normal s.t* with
+    |s| = |t| = m ending at w for (m, w) in `labels`, as it is built.
 
     A row's lead is its shortest term.  A normal monomial is its own row.
     The row of a non-normal spanning monomial s'g.(t'g)*, g a special
@@ -136,16 +158,16 @@ def _span_rank(alg: LeavittAlgebra, monomials) -> int:
     A pivot whose row went in unreduced and unscaled keeps only the
     monomial it came from, rewritten again only on such a collision.
     """
+    implicit = {(m, m, w) for m, w in labels}
+
+    def row_of(mon) -> dict:
+        return {k: c for k, c in alg._normalize([(mon, 1)]).items()
+                if (len(k.left.arrows), len(k.right.arrows), k.left.target)
+                not in implicit}
+
     pivots: dict = {}  # lead -> row, or the monomial the row came from
     for mon in monomials:
-        if alg._is_normal(mon):
-            if mon not in pivots:
-                pivots[mon] = mon
-                continue
-            row = {mon: 1}
-        else:
-            row = alg._normalize([(mon, 1)])
-        source = mon
+        row, source = row_of(mon), mon
         while row:
             lead = min(row, key=_sort_key) if len(row) > 1 else next(iter(row))
             if lead not in pivots:
@@ -157,7 +179,7 @@ def _span_rank(alg: LeavittAlgebra, monomials) -> int:
                 break
             pivot, source = pivots[lead], None
             if not isinstance(pivot, dict):
-                pivot = alg._normalize([(pivot, 1)])
+                pivot = row_of(pivot)
             factor = -row[lead]
             for k, c in pivot.items():
                 s = row.get(k, 0) + factor * c
@@ -168,19 +190,27 @@ def _span_rank(alg: LeavittAlgebra, monomials) -> int:
     return len(pivots)
 
 
+def _span_dim(alg: LeavittAlgebra, n: int, by_target) -> int:
+    """Dimension of stage n: its normal spanning monomials, counted,
+    plus the rank their non-normal ones add."""
+    labels = _block_labels(alg.quiver, n)
+    count, monomials = _spanning_monomials(alg, labels, by_target)
+    return count + _span_rank(alg, labels, monomials)
+
+
 def filtration_span_dim(q: OrderedQuiver, n: int) -> int:
     """Dimension of stage n, computed by reducing its spanning set.
 
-    Every spanning monomial is rewritten to normal form and the rank of
-    the resulting rational coefficient rows is taken by sparse
+    The normal spanning monomials belong to the normal-form basis, so
+    they are counted per block.  Every non-normal one is rewritten to
+    normal form, and the rank its rational row adds is taken by sparse
     elimination, so this really measures the span and not the count.
     """
     q = as_ordered(q)
     require_no_sources(q)
     _check_level(q, n)
     alg = LeavittAlgebra(q)
-    return _span_rank(alg, _spanning_monomials(
-        q, n, _paths_by_target(alg, n, _SPAN_LIMIT)))
+    return _span_dim(alg, n, _paths_by_target(alg, n, _SPAN_LIMIT))
 
 
 def _least_path(by_target, length: int, vertex: str):
@@ -276,8 +306,8 @@ def _stage_report(q: OrderedQuiver, n: int) -> tuple:
     one `filtration` request, built on one algebra, path table and profiles."""
     stage = _stage(q, n)
     q, alg, by_target, profile, _ = stage
-    return (profile, _span_rank(alg, _spanning_monomials(q, n, by_target)),
-            _inclusion(*stage), _phi(*stage))
+    return (profile, _span_dim(alg, n, by_target), _inclusion(*stage),
+            _phi(*stage))
 
 
 def expected_inclusion_matrix(q: OrderedQuiver, n: int) -> IntMatrix:

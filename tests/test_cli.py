@@ -573,8 +573,9 @@ class TestUnfactorableModulus:
     ])
     def test_exits_bad_modulus(self, args):
         start = time.perf_counter()
-        code, out, err = run_cli(args)
+        got = call_within(2, lambda: run_cli(args))
         assert time.perf_counter() - start < 2
+        code, out, err = got
         assert code == 3 and out == ""
         assert "bad modulus" in err and self.TWO_LARGE_PRIMES in err
 

@@ -6,7 +6,8 @@ import pytest
 from helpers import call_within, jacobson_quiver, random_no_source_quiver, \
     rose, toeplitz_quiver
 from leavittk import cli, filtration
-from leavittk.algebra import LeavittAlgebra, _paths_by_target, _sort_key
+from leavittk.algebra import LeavittAlgebra, Monomial, _paths_by_target, \
+    _sort_key
 from leavittk.filtration import (block_profile, expected_inclusion_matrix,
                                  expected_phi_matrix, filtration_span_dim,
                                  inclusion_k0_matrix, phi_k0_matrix,
@@ -136,31 +137,48 @@ def _count_builds(monkeypatch) -> dict:
     return counts
 
 
+def _every_spanning_monomial(labels, by_target) -> list:
+    """The spanning set of the blocks `labels`, every monomial built."""
+    return [Monomial(left, right) for m, w in labels
+            for left in by_target[m].get(w, ())
+            for right in by_target[m].get(w, ())]
+
+
 def _stage_two(name: str) -> tuple:
-    """The algebra of a data quiver and its stage-2 spanning set."""
+    """The algebra of a data quiver, its stage-2 block labels, the whole
+    stage-2 spanning set, and the normal count and non-normal list that
+    `_spanning_monomials` gives for it: exactly the set's normal and
+    non-normal parts."""
     q = DATA_QUIVERS[name]
     alg = LeavittAlgebra(q)
-    monomials = filtration._spanning_monomials(
-        q, 2, _paths_by_target(alg, 2, filtration._SPAN_LIMIT))
-    return alg, monomials
+    by_target = _paths_by_target(alg, 2, filtration._SPAN_LIMIT)
+    labels = filtration._block_labels(q, 2)
+    monomials = _every_spanning_monomial(labels, by_target)
+    count, rest = filtration._spanning_monomials(alg, labels, by_target)
+    assert rest == [m for m in monomials if not alg._is_normal(m)]
+    assert count == len(monomials) - len(rest)
+    return alg, labels, monomials, count, rest
 
 
 class TestShortestLeadPivots:
     """Leads are shortest terms, so a spanning set's rows never collide;
-    rows that do collide must still be reduced, not counted."""
+    rows that do collide must still be reduced, not counted.  The normal
+    spanning monomials enter as implicit pivots: counted, and passed to
+    `_span_rank` as block labels."""
 
     @pytest.mark.parametrize("name", DATA_QUIVERS)
     def test_dependent_set_loses_exactly_one(self, name):
         """Stage 2 plus the one-step rewrite summands s't'* and s'a(t'a)*
         of its first non-normal monomial s'g(t'g)*: those summands and
         that monomial satisfy one linear relation."""
-        alg, monomials = _stage_two(name)
+        alg, labels, monomials, count, rest = _stage_two(name)
         rewrite = next(step for step in map(alg._junction_expand, monomials)
                        if step is not None)
-        dependent = monomials + [m for _, m in rewrite if m not in monomials]
+        extra = [m for _, m in rewrite if m not in monomials]
+        dependent = monomials + extra
         assert len(dependent) > len(monomials)
-        assert call_within(5, lambda: filtration._span_rank(
-            alg, dependent)) == len(dependent) - 1
+        assert count + call_within(5, lambda: filtration._span_rank(
+            alg, labels, rest + extra)) == len(dependent) - 1
 
     @pytest.mark.parametrize("name", DATA_QUIVERS)
     def test_summand_first_rescales_a_lead(self, name):
@@ -172,32 +190,70 @@ class TestShortestLeadPivots:
         one: on jacobson2 and the roses of two and three petals (a rose of
         one petal leaves no such term, and toeplitz's sink-level monomials
         come first).  The set spans what stage 2 spans."""
-        alg, monomials = _stage_two(name)
+        alg, labels, monomials, count, rest = _stage_two(name)
         mon = next(m for m in monomials if not alg._is_normal(m))
         row = alg._normalize([(mon, 1)])
         lead = min(row, key=_sort_key)
         assert row.pop(lead) == 1 and lead not in monomials
         if len(alg._out[lead.left.target]) > 1:
             assert row[min(row, key=_sort_key)] == -1
-        assert call_within(5, lambda: filtration._span_rank(
-            alg, [lead] + monomials)) == len(monomials)
+        assert count + call_within(5, lambda: filtration._span_rank(
+            alg, labels, [lead] + rest)) == len(monomials)
 
     @pytest.mark.parametrize("name", DATA_QUIVERS)
     def test_collision_with_a_kept_source_monomial(self, name):
         """The non-normal monomials of stage 2, the first one twice.  The
         first copy's pivot keeps only that monomial, so the second copy
         must be reduced against its whole normal form, rewritten again."""
-        alg, monomials = _stage_two(name)
-        sources = [m for m in monomials if not alg._is_normal(m)]
+        alg, _, _, _, sources = _stage_two(name)
         assert sources
         assert call_within(5, lambda: filtration._span_rank(
-            alg, sources + sources[:1])) == len(sources)
+            alg, [], sources + sources[:1])) == len(sources)
 
     @pytest.mark.parametrize("name", DATA_QUIVERS)
     def test_repeated_set_keeps_its_rank(self, name):
-        alg, monomials = _stage_two(name)
+        """Stage 2 twice: every monomial explicit, and on top of the
+        implicit pivots, where each explicit normal one reduces to 0."""
+        alg, labels, monomials, count, _ = _stage_two(name)
         assert call_within(5, lambda: filtration._span_rank(
-            alg, monomials + monomials)) == len(monomials)
+            alg, [], monomials + monomials)) == len(monomials)
+        assert count + call_within(5, lambda: filtration._span_rank(
+            alg, labels, monomials + monomials)) == len(monomials)
+
+
+class TestBlockCounting:
+    """The normal spanning monomials are counted, not built."""
+
+    def test_jacobson2_level_four_rewrites_only_non_normal(self, monkeypatch):
+        rewritten = []
+        normalize = LeavittAlgebra._normalize
+
+        def counting_normalize(self, terms, pick=None):
+            terms = list(terms)
+            rewritten.extend(m for m, _ in terms)
+            return normalize(self, terms, pick)
+
+        monkeypatch.setattr(LeavittAlgebra, "_normalize", counting_normalize)
+        assert filtration_span_dim(jacobson_quiver(2), 4) == 13942
+        assert len(rewritten) == 729
+
+    def test_block_counted_rank_equals_explicit_rank(self):
+        """Seeded random quivers, some with sinks: counting the normal
+        part and passing every spanning monomial give one rank."""
+        rng = random.Random(4)
+        quivers = [random_no_source_quiver(rng) for _ in range(40)]
+        assert any(q.v_prime for q in quivers)
+        for q in quivers:
+            alg = LeavittAlgebra(q)
+            by_target = _paths_by_target(alg, 3, filtration._SPAN_LIMIT)
+            for n in range(4):
+                labels = filtration._block_labels(q, n)
+                everything = _every_spanning_monomial(labels, by_target)
+                count, rest = filtration._spanning_monomials(
+                    alg, labels, by_target)
+                rank = filtration._span_rank(alg, [], everything)
+                assert count + filtration._span_rank(alg, labels, rest) \
+                    == rank == filtration_span_dim(q, n)
 
 
 class TestBuildsOncePerCall:
