@@ -4,15 +4,17 @@ and kernels/cokernels of integer matrices over Z and over Z/m.
 Every group is stored in its canonical shape (free rank plus a
 divisibility chain of torsion orders), so equality of groups is plain
 equality of normal forms; no isomorphism search happens anywhere.
-Over Z/m the groups come from one elimination over Z/p^e per prime
-power of m, whose entries stay below p^e; the certified Smith form over
-Z is the integral route and the reference the local one is tested on.
+Over Z/m the groups come from one unit-pivot phase over Z/m and then,
+per prime power p^e of m, the valuation phases over Z/p^e on what it
+left; the certified Smith form over Z is the integral route and the
+reference the local one is tested on.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, prod
 
 from .matrices import IntMatrix, SmithDecomposition, smith_normal_form
@@ -288,59 +290,54 @@ def kernel_rank_int(matrix: IntMatrix) -> int:
     return matrix.cols - smith_normal_form(matrix).rank
 
 
-def local_smith_exponents(matrix: IntMatrix, p: int, e: int) -> tuple:
-    """Exponents k < e of the nonzero diagonal entries p^k of the Smith
-    form of `matrix` over the local ring Z/p^e (p prime), ascending.
-
-    Gaussian elimination on sparse rows (column -> entry in [0, p^e)),
-    keeping no transforms.  Each step pivots on an entry of least
-    p-valuation k, which divides every remaining entry, preferring the
-    shortest row to limit fill-in.  Clearing the pivot column by row
-    operations leaves a pivot row that column operations clear without
-    touching any other row, so the row is simply dropped.
-
-    >>> local_smith_exponents(IntMatrix([[2, 0], [0, 12]]), 2, 3)
-    (1, 2)
-    >>> local_smith_exponents(IntMatrix([[2, 0], [0, 12]]), 3, 1)
-    (0,)
-    """
-    q = p ** e
-    rows = []
-    for i in range(matrix.rows):
-        row = {j: y for j, x in enumerate(matrix.row(i)) if x and (y := x % q)}
+def _sparse_rows(matrix: IntMatrix, m: int) -> list:
+    """The nonzero rows of `matrix` mod m, as dicts column -> entry."""
+    cols = range(matrix.cols)
+    out = []
+    for r in map(matrix.row, range(matrix.rows)):
+        row = {j: y for j in compress(cols, r) if (y := r[j] % m)}
         if row:
-            rows.append(row)
-    exponents = []
-    k, pk = 0, 1
-    settled = set()  # ids of rows known to hold no entry of valuation k
+            out.append(row)
+    return out
+
+
+def _pivot_phase(rows: list, m: int, pk: int) -> int:
+    """Eliminate on the sparse rows (column -> entry in [0, m)), each of
+    whose entries pk divides, pivoting on entries x with gcd(x // pk, m)
+    = 1 until none is left; return the number of pivots.
+
+    Each step takes the shortest row that holds such an entry, to limit
+    fill-in.  Clearing the pivot column by row operations leaves a pivot
+    row that column operations clear without touching any other row, so
+    the row is simply dropped.  `rows` is left holding the rest.
+    """
+    pivots = 0
+    settled = set()  # ids of rows known to hold no pivot entry
     while rows:
-        pk1 = pk * p
         pivot_row = col = None
         for row in rows:
             if pivot_row is not None and len(row) >= len(pivot_row) \
                     or id(row) in settled:
                 continue
             for j, x in row.items():
-                if x % pk1:
+                if gcd(x // pk, m) == 1:
                     pivot_row, col = row, j
                     break
             else:
                 settled.add(id(row))
         if pivot_row is None:
-            k, pk = k + 1, pk1
-            settled.clear()
-            continue
-        exponents.append(k)
-        inverse = pow(pivot_row.pop(col) // pk, -1, q)
+            break
+        pivots += 1
+        inverse = pow(pivot_row.pop(col) // pk, -1, m)
         kept = []
         for row in rows:
             if row is pivot_row:
                 continue
             b = row.pop(col, None)
             if b is not None:
-                c = b // pk * inverse % q
+                c = b // pk * inverse % m
                 for j, x in pivot_row.items():
-                    y = (row.get(j, 0) - c * x) % q
+                    y = (row.get(j, 0) - c * x) % m
                     if y:
                         row[j] = y
                     else:
@@ -349,24 +346,68 @@ def local_smith_exponents(matrix: IntMatrix, p: int, e: int) -> tuple:
                 if not row:
                     continue
             kept.append(row)
-        rows = kept
-    return tuple(exponents)
+        rows[:] = kept
+    return pivots
+
+
+def _local_phases(rows: list, p: int, e: int, k: int = 0) -> list:
+    """Pivot exponents of sparse rows over Z/p^e with no entry of
+    valuation below k: phase k pivots on the entries of valuation k,
+    which divide every entry left, then phase k + 1, ..., until no row
+    is left."""
+    q = p ** e
+    exponents = []
+    pk = p ** k
+    while rows:
+        exponents += [k] * _pivot_phase(rows, q, pk)
+        k, pk = k + 1, pk * p
+    return exponents
+
+
+def local_smith_exponents(matrix: IntMatrix, p: int, e: int) -> tuple:
+    """Exponents k < e of the nonzero diagonal entries p^k of the Smith
+    form of `matrix` over the local ring Z/p^e (p prime), ascending.
+
+    Gaussian elimination on sparse rows (column -> entry in [0, p^e)),
+    keeping no transforms: one pivot phase per valuation k, each taking
+    entries of valuation k on the shortest rows first.  This is the
+    per-prime reference that `kernel_cokernel_mod` is tested against.
+
+    >>> local_smith_exponents(IntMatrix([[2, 0], [0, 12]]), 2, 3)
+    (1, 2)
+    >>> local_smith_exponents(IntMatrix([[2, 0], [0, 12]]), 3, 1)
+    (0,)
+    """
+    return tuple(_local_phases(_sparse_rows(matrix, p ** e), p, e))
 
 
 def kernel_cokernel_mod(matrix: IntMatrix, modulus: Modulus):
-    """(kernel, cokernel) of the induced map (Z/m)^cols -> (Z/m)^rows,
-    assembled from one local elimination per prime power p^e of m.
+    """(kernel, cokernel) of the induced map (Z/m)^cols -> (Z/m)^rows.
 
-    Each pivot exponent k adds Z/p^k to both groups, and each unused
-    column (row) a full Z/p^e to the kernel (cokernel).
+    One unit phase over Z/m first pivots on every entry prime to m it
+    can reach; a unit mod m is a unit mod each prime power p^e of m, so
+    each of its u pivots is an exponent 0 for every p.  For each p^e the
+    small residual is then reduced mod p^e and finished by the phases of
+    `local_smith_exponents`.  Each pivot exponent k adds Z/p^k to both
+    groups, and each unused column (row) a full Z/p^e to the kernel
+    (cokernel).
 
     >>> [str(g) for g in kernel_cokernel_mod(IntMatrix([[2, 0]]),
     ...                                      Modulus.of(12))]
     ['Z/2 (+) Z/12', 'Z/2']
     """
+    m = modulus.m
+    rows = _sparse_rows(matrix, m)
+    units = [0] * _pivot_phase(rows, m, 1)
     kernel_parts, cokernel_parts = {}, {}
     for p, e in modulus.factorization:
-        ks = list(local_smith_exponents(matrix, p, e))
+        q = p ** e
+        if q == m:  # the unit phase was this prime's phase 0
+            ks = units + _local_phases(rows, p, e, 1)
+        else:
+            residual = [r for row in rows
+                        if (r := {j: y for j, x in row.items() if (y := x % q)})]
+            ks = units + _local_phases(residual, p, e)
         kernel_parts[p] = ks + [e] * (matrix.cols - len(ks))
         cokernel_parts[p] = ks + [e] * (matrix.rows - len(ks))
     return (FinAbGroup.from_primary_parts(0, kernel_parts),

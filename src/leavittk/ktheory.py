@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 from .groups import FinAbGroup, Modulus, SizeLimitError, _proven_prime, \
     factorize, kernel_cokernel, kernel_cokernel_mod
@@ -47,9 +47,10 @@ def leavitt_matrix(q: OrderedQuiver) -> IntMatrix:
     q = as_ordered(q)
     require_no_sources(q)
     sinks = q.num_sinks
+    cols = q.v - sinks
     index = {v: i for i, v in enumerate(q.vertices)}
-    rows = [[0] * (q.v - sinks) for _ in range(q.v)]
-    for j in range(q.v - sinks):
+    rows = [[0] * cols for _ in range(q.v)]
+    for j in range(cols):
         rows[sinks + j][j] = 1
     for a in q.arrows:
         j = index[a.source] - sinks
@@ -58,7 +59,7 @@ def leavitt_matrix(q: OrderedQuiver) -> IntMatrix:
                 f"sink row {j + sinks} is nonzero; vertex ordering is "
                 "inconsistent")
         rows[index[a.target]][j] -= 1
-    return IntMatrix(rows)
+    return IntMatrix._of(tuple(map(tuple, rows)), cols)
 
 
 @dataclass(frozen=True)
@@ -303,11 +304,12 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
     K-groups uniquely m-divisible; a nonzero group in some parity forces
     one of each adjacent integral pair to be nonzero in that parity.
     Each listed l must be proven prime (so below 3.3e24) and each l^nu
-    below 10^4300.  The matrix is eliminated once per distinct l, over
-    Z/l^E for its largest requested power E, and each table over Z/l^nu
-    tensors those groups with Z/l^nu: a Smith invariant d gives
-    Z/gcd(d, l^E), and gcd(gcd(d, l^E), l^nu) = gcd(d, l^nu) for nu <= E,
-    while an unused row or column gives Z/l^E (x) Z/l^nu = Z/l^nu.
+    below 10^4300.  The matrix is eliminated once, over Z/M with M the
+    product of l^E over the distinct l, E the largest requested power of
+    l, and each table over Z/l^nu tensors those groups with Z/l^nu: a
+    Smith invariant d gives Z/gcd(d, M), and gcd(gcd(d, M), l^nu) =
+    gcd(d, l^nu) for nu <= E, while an unused row or column gives
+    Z/M (x) Z/l^nu = Z/l^nu.
     A sink-free |det| is factored before any elimination, so one that
     factorize cannot finish raises SizeLimitError at no elimination cost.
     """
@@ -332,13 +334,13 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
         if det != 0:
             det_primes = tuple(p for p, _ in factorize(abs(det))) if abs(det) > 1 \
                 else ()
-    over_top = {l: kernel_cokernel_mod(matrix, Modulus(l ** e, ((l, e),)))
-                for l, e in top.items()}
+    factorization = tuple(sorted(top.items()))
+    over_top = kernel_cokernel_mod(
+        matrix, Modulus(prod(l ** e for l, e in factorization), factorization))
     entries = []
     for l, nu in primes:
         modulus = Modulus(l ** nu, ((l, nu),))
-        kernel, cokernel = (g.tensor_with_cyclic(modulus.m)
-                            for g in over_top[l])
+        kernel, cokernel = (g.tensor_with_cyclic(modulus.m) for g in over_top)
         table = KGroupTable(modulus=modulus, even=cokernel, odd=kernel,
                             window=(0, 2))
         nonzero_parities = []

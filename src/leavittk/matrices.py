@@ -8,10 +8,14 @@ freely between threads and used as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, index, sub
 
 
 class IntMatrix:
     """Immutable integer matrix, row-major, any shape including empty.
+
+    Entries are converted with `operator.index`, so a float or any other
+    non-integral entry raises TypeError instead of being truncated.
 
     >>> m = IntMatrix([[2, 4], [6, 8]])
     >>> m.rows, m.cols
@@ -20,22 +24,23 @@ class IntMatrix:
     True
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_hash")
 
     def __init__(self, rows_of_entries):
-        data = tuple(tuple(map(int, row)) for row in rows_of_entries)
+        data = tuple(tuple(map(index, row)) for row in rows_of_entries)
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
         if any(len(row) != self.cols for row in data):
             raise ValueError("ragged rows")
         self._data = data
+        self._hash = None
 
     @classmethod
     def _of(cls, data: tuple, cols: int) -> "IntMatrix":
         """Wrap a checked tuple of int tuples; `cols` keeps the width of
         a matrix with no rows, which the constructor cannot see."""
         m = object.__new__(cls)
-        m.rows, m.cols, m._data = len(data), cols, data
+        m.rows, m.cols, m._data, m._hash = len(data), cols, data, None
         return m
 
     @classmethod
@@ -59,9 +64,9 @@ class IntMatrix:
         >>> IntMatrix.identity_below_zero(3, 2).tolists()
         [[0, 0], [1, 0], [0, 1]]
         """
-        shift = rows - cols
-        return cls([[1 if i == j + shift else 0 for j in range(cols)]
-                    for i in range(rows)])
+        return cls._of(((0,) * cols,) * (rows - cols)
+                       + tuple((0,) * j + (1,) + (0,) * (cols - j - 1)
+                               for j in range(cols)), cols)
 
     def __getitem__(self, ij) -> int:
         i, j = ij
@@ -87,15 +92,18 @@ class IntMatrix:
         return IntMatrix._of(tuple(tuple(-x for x in row)
                                    for row in self._data), self.cols)
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+    def _entrywise(self, op, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix._of(tuple(tuple(a + b for a, b in zip(r1, r2))
+        return IntMatrix._of(tuple(tuple(map(op, r1, r2))
                                    for r1, r2 in zip(self._data, other._data)),
                              self.cols)
 
+    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._entrywise(add, other)
+
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
+        return self._entrywise(sub, other)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -124,7 +132,9 @@ class IntMatrix:
             and (self.rows, self.cols) == (other.rows, other.cols)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._data))
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, self._data))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self._data]!r})"

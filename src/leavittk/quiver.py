@@ -8,6 +8,8 @@ matrix fixtures depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import NamedTuple
 
 from .matrices import IntMatrix
@@ -35,15 +37,16 @@ class Quiver:
     def __post_init__(self):
         if not self.vertices:
             raise ValueError("quiver needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex ids")
-        names = [a.name for a in self.arrows]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate arrow ids")
         declared = set(self.vertices)
-        for a in self.arrows:
-            if a.source not in declared or a.target not in declared:
-                raise ValueError(f"arrow {a.name}: undeclared endpoint")
+        if len(declared) != len(self.vertices):
+            raise ValueError("duplicate vertex ids")
+        if len(set(map(itemgetter(0), self.arrows))) != len(self.arrows):
+            raise ValueError("duplicate arrow ids")
+        if not (declared.issuperset(map(itemgetter(1), self.arrows))
+                and declared.issuperset(map(itemgetter(2), self.arrows))):
+            a = next(a for a in self.arrows
+                     if a.source not in declared or a.target not in declared)
+            raise ValueError(f"arrow {a.name}: undeclared endpoint")
 
     @classmethod
     def build(cls, vertices, arrows) -> "Quiver":
@@ -80,7 +83,7 @@ def check_no_sources(q: "Quiver | OrderedQuiver") -> NoSourceCheck:
     >>> check_no_sources(parse_quiver("vertices w\\narrow a w w")).ok
     True
     """
-    with_incoming = {a.target for a in q.arrows}
+    with_incoming = set(map(itemgetter(2), q.arrows))
     offenders = tuple(v for v in q.vertices if v not in with_incoming)
     return NoSourceCheck(ok=not offenders, sources=offenders)
 
@@ -120,7 +123,7 @@ def order_sinks_first(q: "Quiver | OrderedQuiver") -> OrderedQuiver:
     """
     if isinstance(q, OrderedQuiver):
         q = q.as_quiver()
-    sources = {a.source for a in q.arrows}
+    sources = set(map(itemgetter(1), q.arrows))
     sinks = [v for v in q.vertices if v not in sources]
     others = [v for v in q.vertices if v in sources]
     return OrderedQuiver(vertices=tuple(sinks + others), arrows=q.arrows,
@@ -132,6 +135,9 @@ def as_ordered(q: "Quiver | OrderedQuiver") -> OrderedQuiver:
     return q if isinstance(q, OrderedQuiver) else order_sinks_first(q)
 
 
+_new_arrow = partial(tuple.__new__, Arrow)
+
+
 def parse_quiver(text: str) -> Quiver:
     """Parse the line-oriented quiver format.
 
@@ -140,16 +146,32 @@ def parse_quiver(text: str) -> Quiver:
     arrow.  Tokens are whitespace-separated; there is no escaping.  No
     vertex or arrow id may contain `=`, which separates a record's key
     from its value in the CLI's records format.
+
+    One pass over the lines checks each line and builds its arrow.
+    Arrow ids and endpoints are then checked in bulk by the Quiver
+    itself; only when that fails are the arrows walked in order, so the
+    error names the first offending line.  An arrow may come before the
+    `vertices` line that declares its endpoints.
     """
     vertices: list = []
     seen_vertices: set = set()
+    arrows: list = []
     arrow_lines: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if tokens[0] == "vertices":
+        if tokens[0] == "arrow":
+            if len(tokens) != 4:
+                raise QuiverParseError(
+                    lineno, "expected 'arrow <id> <source> <target>'")
+            if "=" in tokens[1]:
+                raise QuiverParseError(lineno, f"'=' in arrow id {tokens[1]!r}")
+            arrows.append(_new_arrow(tokens[1:]))
+            arrow_lines.append(lineno)
+        elif tokens[0] == "vertices":
             if len(tokens) < 2:
                 raise QuiverParseError(lineno, "expected at least one vertex id")
             for tok in tokens[1:]:
@@ -159,34 +181,23 @@ def parse_quiver(text: str) -> Quiver:
                     raise QuiverParseError(lineno, f"duplicate vertex id {tok!r}")
                 seen_vertices.add(tok)
                 vertices.append(tok)
-        elif tokens[0] == "arrow":
-            if len(tokens) != 4:
-                raise QuiverParseError(
-                    lineno, "expected 'arrow <id> <source> <target>'")
-            if "=" in tokens[1]:
-                raise QuiverParseError(lineno, f"'=' in arrow id {tokens[1]!r}")
-            arrow_lines.append((lineno, Arrow(tokens[1], tokens[2], tokens[3])))
         else:
             raise QuiverParseError(lineno, f"unknown directive {tokens[0]!r}")
 
-    arrows = []
+    try:
+        return Quiver(tuple(vertices), tuple(arrows))
+    except ValueError:
+        pass
     seen_arrows: set = set()
-    for lineno, a in arrow_lines:
+    for lineno, a in zip(arrow_lines, arrows):
         if a.name in seen_arrows:
             raise QuiverParseError(lineno, f"duplicate arrow id {a.name!r}")
         seen_arrows.add(a.name)
-        if a.source not in seen_vertices:
-            raise QuiverParseError(
-                lineno, f"undeclared endpoint {a.source!r} in arrow {a.name!r}")
-        if a.target not in seen_vertices:
-            raise QuiverParseError(
-                lineno, f"undeclared endpoint {a.target!r} in arrow {a.name!r}")
-        arrows.append(a)
-
-    if not vertices:
-        raise QuiverParseError(1, "empty vertex set")
-
-    return Quiver(tuple(vertices), tuple(arrows))
+        for end in (a.source, a.target):
+            if end not in seen_vertices:
+                raise QuiverParseError(
+                    lineno, f"undeclared endpoint {end!r} in arrow {a.name!r}")
+    raise QuiverParseError(1, "empty vertex set")
 
 
 def render_quiver(q: "Quiver | OrderedQuiver") -> str:
@@ -206,17 +217,17 @@ def incidence_matrix(q: OrderedQuiver) -> IntMatrix:
     counts = [[0] * q.v for _ in range(q.v)]
     for a in q.arrows:
         counts[idx[a.source]][idx[a.target]] += 1
-    return IntMatrix(counts)
+    return IntMatrix._of(tuple(map(tuple, counts)), q.v)
 
 
 def reduced_incidence(q: OrderedQuiver) -> IntMatrix:
     """The incidence matrix with the leading (zero) sink rows removed."""
     full = incidence_matrix(q)
     for i in range(q.num_sinks):
-        if any(full[i, j] != 0 for j in range(q.v)):
+        if any(full.row(i)):
             raise AssertionError(
                 f"sink row {i} is nonzero; vertex ordering is inconsistent")
-    return IntMatrix([full.row(i) for i in range(q.num_sinks, q.v)])
+    return IntMatrix._of(tuple(map(full.row, range(q.num_sinks, q.v))), q.v)
 
 
 def path_count_matrix(q: OrderedQuiver, length: int) -> IntMatrix:

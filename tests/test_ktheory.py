@@ -6,7 +6,8 @@ from helpers import call_within, jacobson_quiver, random_ladder_quiver, \
     random_no_source_quiver, rose, toeplitz_quiver, unfactorable_dense_quiver
 from leavittk import groups, ktheory
 from leavittk.groups import (FinAbGroup, Modulus, SizeLimitError,
-                             brute_force_mod_oracle, local_smith_exponents)
+                             _pivot_phase as pivot_phase,
+                             brute_force_mod_oracle, kernel_cokernel_mod)
 from leavittk.matrices import IntMatrix, smith_normal_form
 from leavittk.ktheory import (COKERNEL, CoefficientTheory, DegreeData, KERNEL,
                               ZERO_NEGATIVE, corner_les, divisibility_report,
@@ -383,15 +384,32 @@ class TestDivisibilityReport:
 
 
 class TestOneReductionPerMatrix:
+    """Each matrix is reduced once per call: one unit phase over Z/m,
+    then, per prime power p^e of m, the phases over Z/p^e on what the
+    unit phase left."""
+
     @pytest.fixture
-    def local_calls(self, monkeypatch):
+    def phases(self, monkeypatch):
+        calls = []  # (modulus, p^k, rows in, pivots)
+
+        def counting(rows, m, pk):
+            rows_in = len(rows)
+            pivots = pivot_phase(rows, m, pk)
+            calls.append((m, pk, rows_in, pivots))
+            return pivots
+
+        monkeypatch.setattr(groups, "_pivot_phase", counting)
+        return calls
+
+    @pytest.fixture
+    def mod_calls(self, monkeypatch):
         calls = []
 
-        def counting(matrix, p, e):
-            calls.append((matrix, p, e))
-            return local_smith_exponents(matrix, p, e)
+        def counting(matrix, modulus):
+            calls.append((matrix, modulus.m))
+            return kernel_cokernel_mod(matrix, modulus)
 
-        monkeypatch.setattr(groups, "local_smith_exponents", counting)
+        monkeypatch.setattr(ktheory, "kernel_cokernel_mod", counting)
         return calls
 
     @pytest.fixture
@@ -405,51 +423,73 @@ class TestOneReductionPerMatrix:
         monkeypatch.setattr(ktheory, "smith_normal_form", counting)
         return calls
 
-    def test_table(self, local_calls, snf_calls):
-        q = jacobson_quiver(2)
+    def test_table(self, mod_calls, phases, snf_calls):
+        q = jacobson_quiver(2)  # [[-3], [-2]]: the unit phase clears it
         mod_l_ktheory(q, Modulus.of(8))
-        assert local_calls == [(leavitt_matrix(q), 2, 3)]
+        assert mod_calls == [(leavitt_matrix(q), 8)]
+        assert phases == [(8, 1, 2, 1)]
+        phases.clear()
+        # [[-4]]: the unit phase is phase 0, then one phase per k >= 1
+        mod_l_ktheory(rose(5), Modulus.of(8))
+        assert phases == [(8, 1, 1, 0), (8, 2, 1, 0), (8, 4, 1, 1)]
         assert snf_calls == []
 
-    def test_table_one_elimination_per_prime(self, local_calls):
-        q = jacobson_quiver(2)
-        with pytest.warns(UserWarning):
-            mod_l_ktheory(q, Modulus.of(360))
-        assert local_calls == [(leavitt_matrix(q), 2, 3),
-                               (leavitt_matrix(q), 3, 2),
-                               (leavitt_matrix(q), 5, 1)]
+    def test_table_one_elimination_per_prime(self, mod_calls, phases):
+        for q in (jacobson_quiver(2),
+                  random_ladder_quiver(random.Random(5), 12, 3)):
+            mod_calls.clear()
+            phases.clear()
+            with pytest.warns(UserWarning):
+                mod_l_ktheory(q, Modulus.of(360))
+            matrix = leavitt_matrix(q)
+            assert mod_calls == [(matrix, 360)]
+            (m, pk, rows_in, units), rest = phases[0], phases[1:]
+            assert (m, pk, rows_in) == (360, 1, matrix.rows)
+            # every prime power sees only the rows the unit phase left,
+            # and runs each of its phases once, in ascending p^k
+            for q_e in (8, 9, 5):
+                own = [(pk, rows_in) for m, pk, rows_in, _ in rest
+                       if m == q_e]
+                assert [pk for pk, _ in own] == sorted({pk for pk, _ in own})
+                assert all(rows_in <= matrix.rows - units
+                           for _, rows_in in own)
+            assert {m for m, *_ in rest} <= {8, 9, 5}
+        assert units == 11  # the random quiver: the unit phase did the work
 
-    def test_divisibility_report_three_primes(self, local_calls, snf_calls):
+    def test_divisibility_report_three_primes(self, mod_calls, phases,
+                                              snf_calls):
         q = rose(3)
         divisibility_report(q, [(2, 1), (3, 1), (5, 2)])
-        assert local_calls == [(leavitt_matrix(q), 2, 1),
-                               (leavitt_matrix(q), 3, 1),
-                               (leavitt_matrix(q), 5, 2)]
+        assert mod_calls == [(leavitt_matrix(q), 2 * 3 * 25)]
+        assert [(m, pk) for m, pk, _, _ in phases if m == 150] == [(150, 1)]
         assert snf_calls == []
 
-    def test_divisibility_report_powers_share_pivots(self, local_calls):
+    def test_divisibility_report_powers_share_pivots(self, mod_calls):
         # rose(5) and rose(9) have pivots 4 and 8, which vanish mod 2
         for q in (jacobson_quiver(3), rose(5), rose(9)):
-            local_calls.clear()
+            mod_calls.clear()
             report = divisibility_report(q, [(2, 1), (2, 3), (2, 2)])
-            assert local_calls == [(leavitt_matrix(q), 2, 3)]
+            assert mod_calls == [(leavitt_matrix(q), 8)]
             for e in report.entries:
                 assert e.table == mod_l_ktheory(q, e.modulus, 0, 2)
 
-    def test_les_once_per_distinct_degree_data(self, local_calls, snf_calls):
+    def test_les_once_per_distinct_degree_data(self, mod_calls, phases,
+                                               snf_calls):
         for q in (toeplitz_quiver(), jacobson_quiver(1), rose(3)):
-            local_calls.clear()
+            mod_calls.clear()
+            phases.clear()
             les_table_for_quiver(q, Modulus.of(4))
             # one zero presentation for the odd and negative degrees, one
             # stabilized map for the even ones
-            assert len(local_calls) == 2
-            assert (leavitt_matrix(q), 2, 2) in local_calls
+            assert len(mod_calls) == 2
+            assert (leavitt_matrix(q), 4) in mod_calls
+            assert [pk for _, pk, _, _ in phases].count(1) == 2
         assert snf_calls == []
 
-    def test_corner_les_integral_data(self, local_calls, snf_calls):
+    def test_corner_les_integral_data(self, mod_calls, snf_calls):
         data = DegreeData(phi=IntMatrix([[3]]))
         theory = CoefficientTheory(degrees=tuple((n, data)
                                                  for n in range(-1, 6)))
         entries = corner_les(theory, 0, 5)
-        assert len(snf_calls) == 1 and local_calls == []
+        assert len(snf_calls) == 1 and mod_calls == []
         assert all(e.sub == G(2) and e.quotient.is_trivial for e in entries)

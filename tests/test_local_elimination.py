@@ -3,10 +3,15 @@ certified Smith form) and, where it is small enough, the enumeration
 oracle."""
 
 import random
+from math import prod
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (ENGINE_QUIVERS, dense_quiver, random_ladder_quiver,
                      random_no_source_quiver)
-from leavittk.groups import (FinAbGroup, Modulus, brute_force_mod_oracle,
+from leavittk.groups import (_ORACLE_BOUND, FinAbGroup, Modulus,
+                             brute_force_mod_oracle,
                              cokernel_mod, kernel_cokernel,
                              kernel_cokernel_mod, kernel_mod,
                              local_smith_exponents)
@@ -114,9 +119,11 @@ def test_zero_by_three_map():
 
 
 def test_lower_powers_by_tensoring():
-    # the groups over Z/l^nu are those over Z/l^E tensored with Z/l^nu for
-    # every nu <= E, which lets divisibility_report eliminate once per l
+    # the groups over Z/l^nu are those over Z/l^E, or over Z/M for M a
+    # product of such top powers, tensored with Z/l^nu for every nu <= E,
+    # which lets divisibility_report eliminate once for all its primes
     rng = random.Random(25)
+    pick = random.Random(26)  # the product's primes, apart from the matrices
     entries = (0, 1, 2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 125, 243)
     for _ in range(200):
         rows, cols = rng.randint(0, 6), rng.randint(0, 6)
@@ -132,3 +139,49 @@ def test_lower_powers_by_tensoring():
                                  for g in over_top) \
                         == kernel_cokernel_mod(matrix, Modulus.of(l ** nu)), \
                         (matrix, l, top, nu)
+        tops = tuple((l, pick.randint(1, 4)) for l in (2, 3, 5)
+                     if pick.random() < 0.7) or ((7, 2),)
+        over_product = kernel_cokernel_mod(
+            matrix, Modulus(prod(l ** e for l, e in tops), tops))
+        for l, top in tops:
+            for nu in range(1, top + 1):
+                assert tuple(g.tensor_with_cyclic(l ** nu)
+                             for g in over_product) \
+                    == kernel_cokernel_mod(matrix, Modulus.of(l ** nu)), \
+                    (matrix, tops, l, nu)
+
+
+def per_prime_assembly(matrix: IntMatrix, modulus: Modulus) -> tuple:
+    """(kernel, cokernel) from one full local elimination per prime
+    power of m, the route that the shared unit phase replaces."""
+    kernel_parts, cokernel_parts = {}, {}
+    for p, e in modulus.factorization:
+        ks = list(local_smith_exponents(matrix, p, e))
+        kernel_parts[p] = ks + [e] * (matrix.cols - len(ks))
+        cokernel_parts[p] = ks + [e] * (matrix.rows - len(ks))
+    return (FinAbGroup.from_primary_parts(0, kernel_parts),
+            FinAbGroup.from_primary_parts(0, cokernel_parts))
+
+
+PROPERTY_ENTRIES = (0, 1, -1, 2, -2, 3, 4, 6, 8, 9, 12, 27)
+
+
+@st.composite
+def unit_rich_matrices(draw):
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    if rows == 0:
+        return IntMatrix.zero(0, cols)
+    return IntMatrix(draw(st.lists(
+        st.lists(st.sampled_from(PROPERTY_ENTRIES), min_size=cols,
+                 max_size=cols), min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_rich_matrices(), st.sampled_from((4, 6, 12, 27, 360, 1470)))
+def test_shared_unit_phase_matches_every_route(matrix, m):
+    modulus = Modulus.of(m)
+    local = kernel_cokernel_mod(matrix, modulus)
+    assert local == per_prime_assembly(matrix, modulus)
+    assert local == kernel_cokernel(smith_normal_form(matrix), modulus)
+    if max(m ** matrix.rows, m ** matrix.cols) <= _ORACLE_BOUND:
+        assert local == brute_force_mod_oracle(matrix, modulus)

@@ -15,6 +15,15 @@ def test_shape_and_entries():
     assert m[1, 2] == 6
 
 
+def test_non_integral_entries_rejected():
+    # entries go through operator.index: a float is refused, not truncated
+    for entries in ([[2.5, 1.9]], [[1.0]], [[1, "2"]]):
+        with pytest.raises(TypeError):
+            IntMatrix(entries)
+    assert IntMatrix([[True, 3]]).tolists() == [[1, 3]]
+    assert type(IntMatrix([[True]])[0, 0]) is int
+
+
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])

@@ -5,7 +5,7 @@ import pytest
 from helpers import jacobson_quiver, random_no_source_quiver, rose, \
     toeplitz_quiver
 from leavittk.matrices import IntMatrix
-from leavittk.quiver import (OrderedQuiver, Quiver, QuiverParseError,
+from leavittk.quiver import (Arrow, OrderedQuiver, Quiver, QuiverParseError,
                              as_ordered, check_no_sources, incidence_matrix,
                              order_sinks_first, parse_quiver,
                              path_count_matrix, reduced_incidence,
@@ -187,12 +187,17 @@ class TestPathCounts:
 
 
 def test_programmatic_validation():
-    with pytest.raises(ValueError):
-        Quiver.build((), ())
-    with pytest.raises(ValueError):
-        Quiver.build(("a", "a"), ())
-    with pytest.raises(ValueError):
-        Quiver.build(("a",), [("x", "a", "b")])
+    for vertices, arrows, message in (
+            ((), (), "quiver needs at least one vertex"),
+            (("a", "a"), (), "duplicate vertex ids"),
+            (("a",), [("x", "a", "b")], "arrow x: undeclared endpoint"),
+            (("a",), [("x", "a", "a"), ("x", "a", "a")],
+             "duplicate arrow ids"),
+            (("a", "b"), [("x", "a", "b"), ("y", "c", "a"), ("z", "a", "d")],
+             "arrow y: undeclared endpoint")):
+        with pytest.raises(ValueError) as err:
+            Quiver.build(vertices, arrows)
+        assert str(err.value) == message
 
 
 def test_as_ordered_passthrough_and_coercion():
@@ -208,3 +213,72 @@ def test_reduced_incidence_rejects_bad_ordering():
     bogus = OrderedQuiver(vertices=("1", "2"), arrows=q.arrows, num_sinks=1)
     with pytest.raises(AssertionError):
         reduced_incidence(bogus)
+
+
+# (text, line, message) of malformed quiver files, recorded from the
+# two-pass parser that checked arrows only after reading every line; the
+# one-pass parser must raise the same error for each.
+PARSE_ERRORS = (
+    # a duplicate arrow after an undeclared endpoint: the endpoint wins
+    ("vertices a\narrow x a b\narrow x a a\n", 2,
+     "undeclared endpoint 'b' in arrow 'x'"),
+    ("vertices a\narrow x b a\narrow x a a\n", 2,
+     "undeclared endpoint 'b' in arrow 'x'"),
+    ("vertices a\narrow x a a\narrow y a b\narrow x a a\n", 3,
+     "undeclared endpoint 'b' in arrow 'y'"),
+    ("vertices a\narrow x a a\narrow x a b\n", 3, "duplicate arrow id 'x'"),
+    ("vertices a\narrow x a a\n\narrow x a a\n", 4, "duplicate arrow id 'x'"),
+    # an arrow before its vertices line is checked against every line
+    ("arrow x a b\nvertices a\n", 1, "undeclared endpoint 'b' in arrow 'x'"),
+    ("arrow x a b\n", 1, "undeclared endpoint 'a' in arrow 'x'"),
+    ("arrow x a a\narrow x a a\n", 1, "undeclared endpoint 'a' in arrow 'x'"),
+    ("arrow y a a\nvertices a b\narrow y b b\narrow z c c\n", 3,
+     "duplicate arrow id 'y'"),
+    ("vertices a\narrow x a b # comment\nvertices b\narrow z a c\n", 4,
+     "undeclared endpoint 'c' in arrow 'z'"),
+    # '#' inside a token starts a comment there
+    ("vertices a#b c\narrow x a c\n", 2, "undeclared endpoint 'c' in arrow 'x'"),
+    ("vertices a b\narrow x a#b b\n", 2,
+     "expected 'arrow <id> <source> <target>'"),
+    ("vertices a\narrow x#y a a\n", 2,
+     "expected 'arrow <id> <source> <target>'"),
+    # tabs, CRLF and the other line ends and spaces of str.splitlines/split
+    ("vertices\ta b\r\narrow\tx a b\r\narrow y a c\r\n", 3,
+     "undeclared endpoint 'c' in arrow 'y'"),
+    ("vertices a\rarrow x a b\r", 2, "undeclared endpoint 'b' in arrow 'x'"),
+    ("vertices a\x0carrow x a b", 2, "undeclared endpoint 'b' in arrow 'x'"),
+    ("vertices a\xa0b\narrow x a b\narrow y b c\n", 3,
+     "undeclared endpoint 'c' in arrow 'y'"),
+    # '=' in an arrow id after a bad vertices line: the earlier line wins
+    ("vertices a=b\narrow x=y a a\n", 1, "'=' in vertex id 'a=b'"),
+    ("vertices\narrow x=y a a\n", 1, "expected at least one vertex id"),
+    ("vertices a\narrow x=y a a\n", 2, "'=' in arrow id 'x=y'"),
+    ("vertices a\narrow x a b=c\n", 2, "undeclared endpoint 'b=c' in arrow 'x'"),
+    ("vertices a\nvertices b a\n", 2, "duplicate vertex id 'a'"),
+    ("vertices a a\n", 1, "duplicate vertex id 'a'"),
+    ("vertices a\narrow x a\n", 2, "expected 'arrow <id> <source> <target>'"),
+    ("vertices a\narrow x a a a\n", 2,
+     "expected 'arrow <id> <source> <target>'"),
+    ("vertices a\nedge x a a\n", 2, "unknown directive 'edge'"),
+    ("", 1, "empty vertex set"),
+    ("   \n\t\n# nothing\n", 1, "empty vertex set"),
+)
+
+
+@pytest.mark.parametrize("text, line, message", PARSE_ERRORS)
+def test_parse_error_precedence(text, line, message):
+    with pytest.raises(QuiverParseError) as err:
+        parse_quiver(text)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
+@pytest.mark.parametrize("text, vertices, arrows", (
+    ("arrow x a a\nvertices a\n", ("a",), 1),
+    ("vertices a\narrow x a a#\n", ("a",), 1),
+    ("vertices a\n#arrow x a b\n  # vertices a\n", ("a",), 0),
+))
+def test_parse_accepts(text, vertices, arrows):
+    q = parse_quiver(text)
+    assert (q.vertices, len(q.arrows)) == (vertices, arrows)
+    assert all(type(a) is Arrow for a in q.arrows)
+
