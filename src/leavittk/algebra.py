@@ -113,26 +113,6 @@ class LeavittAlgebra:
                 raise ValueError(f"arrows {a!r} and {b!r} do not compose")
         return Path(self._src[names[0]], self._tgt[names[-1]], names)
 
-    def _concat(self, p: Path, q: Path) -> Path:
-        if p.target != q.source:
-            raise ValueError("paths do not compose")
-        if not p.arrows:
-            return q
-        if not q.arrows:
-            return p
-        return Path(p.source, q.target, p.arrows + q.arrows)
-
-    @staticmethod
-    def _strip_prefix(prefix: Path, whole: Path) -> Path | None:
-        """The path r with whole = prefix.r, or None."""
-        k = len(prefix.arrows)
-        if prefix.source != whole.source:
-            return None
-        if whole.arrows[:k] != prefix.arrows:
-            return None
-        rest = whole.arrows[k:]
-        return Path(prefix.target, whole.target, rest)
-
     # -- monomials ---------------------------------------------------------
 
     def _is_normal(self, mon: Monomial) -> bool:
@@ -140,50 +120,49 @@ class LeavittAlgebra:
         return not la or not ra or la[-1] != ra[-1] \
             or la[-1] not in self._junction
 
-    def _junction_expand(self, mon: Monomial):
-        """One CK rewrite at the junction, or None if already normal."""
-        if self._is_normal(mon):
+    @staticmethod
+    def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial | None:
+        """Product before junction rewriting; None means zero: t1* s2
+        cancels when one of t1, s2 is a prefix of the other."""
+        (l1, r1), (l2, r2) = m1, m2
+        if r1.source != l2.source:
             return None
-        left, right = mon
-        v, others = self._junction[left.arrows[-1]]
-        ls, la = left.source, left.arrows[:-1]
-        rs, ra = right.source, right.arrows[:-1]
-        out = [(1, _new(Monomial, (_new(Path, (ls, v, la)),
-                                   _new(Path, (rs, v, ra)))))]
-        for h, w in others:
-            out.append((-1, _new(Monomial, (_new(Path, (ls, w, la + (h,))),
-                                            _new(Path, (rs, w, ra + (h,)))))))
-        return out
+        a, b = r1.arrows, l2.arrows
+        k, j = len(a), len(b)
+        if k <= j:
+            if b[:k] != a:
+                return None
+            return _new(Monomial, (
+                _new(Path, (l1.source, l2.target, l1.arrows + b[k:])), r2))
+        if a[:j] != b:
+            return None
+        return _new(Monomial, (
+            l1, _new(Path, (r2.source, r1.target, r2.arrows + a[j:]))))
 
-    def _mul_monomials(self, m1: Monomial, m2: Monomial) -> Monomial | None:
-        """Product before junction rewriting; None means zero."""
-        rest = self._strip_prefix(m1.right, m2.left)
-        if rest is not None:
-            return Monomial(self._concat(m1.left, rest), m2.right)
-        rest = self._strip_prefix(m2.left, m1.right)
-        if rest is not None:
-            return Monomial(m1.left, self._concat(m2.right, rest))
-        return None
-
-    def _normalize(self, terms, pick=None) -> dict:
+    def _normalize(self, terms) -> dict:
         """Rewrite loosely-formed (monomial, coeff) terms to normal form.
 
-        `pick` selects which pending term to rewrite next (used by the
-        confluence tests); the default LIFO order is fixed so results
-        are reproducible.
+        c.s'g.(t'g)*, g special at v, is c.s'.t'* minus c.s'h.(t'h)* over
+        the other arrows h at v.  Those summands are normal, so they go
+        straight into the result; one walk per term strips its common
+        special-arrow suffix that way and adds the stripped monomial last.
         """
-        pending = list(terms)
-        if len(pending) == 1 and self._is_normal(pending[0][0]):
-            mon, c = pending[0]
-            return {mon: c} if c else {}
-        done: dict = {}
-        while pending:
-            mon, c = pending.pop() if pick is None else pending.pop(pick(pending))
-            step = self._junction_expand(mon)
-            if step is None:
-                done[mon] = done.get(mon, 0) + c
-            else:
-                pending.extend((m2, c if sign > 0 else -c) for sign, m2 in step)
+        junction, done = self._junction, {}
+        for mon, c in terms:
+            left, right = mon
+            la, ra, v = left.arrows, right.arrows, None
+            while la and ra and la[-1] == ra[-1] and la[-1] in junction:
+                v, others = junction[la[-1]]
+                la, ra = la[:-1], ra[:-1]
+                for h, w in others:
+                    key = _new(Monomial, (
+                        _new(Path, (left.source, w, la + (h,))),
+                        _new(Path, (right.source, w, ra + (h,)))))
+                    done[key] = done.get(key, 0) - c
+            if v is not None:
+                mon = _new(Monomial, (_new(Path, (left.source, v, la)),
+                                      _new(Path, (right.source, v, ra))))
+            done[mon] = done.get(mon, 0) + c
         return {m: c for m, c in done.items() if c}
 
     # -- element constructors ---------------------------------------------

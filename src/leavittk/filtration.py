@@ -27,8 +27,8 @@ from .algebra import LeavittAlgebra, Monomial, _new, _paths_by_target, \
     _sort_key, corner_data, corner_phi
 from .groups import SizeLimitError
 from .matrices import IntMatrix
-from .quiver import OrderedQuiver, as_ordered, path_count_matrix, \
-    reduced_incidence, require_no_sources
+from .quiver import OrderedQuiver, as_ordered, reduced_incidence, \
+    require_no_sources
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,36 @@ def _block_labels(q: OrderedQuiver, n: int) -> list:
             if j < q.v_prime or m == n]
 
 
+def _profiles(q: OrderedQuiver, *levels) -> list:
+    """The block profiles of the stages `levels`, after their checks, all
+    read off one run of path counts.
+
+    Block (m, w) has size c_m[w], the number of length-m paths into w:
+    the column sums of A^m, that is 1^T A^m.  They run as a vector,
+    c_0 = 1 and c_{m+1}[t] = sum of c_m[s] over the arrows s -> t, in
+    O(E) per length and with no path built.
+    """
+    require_no_sources(q)
+    for n in levels:
+        _check_level(q, n)
+    j = {w: i for i, w in enumerate(q.vertices)}
+    ends = [(j[a.source], j[a.target]) for a in q.arrows]
+    counts = [[1] * q.v]
+    for _ in range(max(levels)):
+        last, nxt = counts[-1], [0] * q.v
+        for s, t in ends:
+            nxt[t] += last[s]
+        counts.append(nxt)
+    return [BlockProfile(level=n, blocks=tuple(
+        Block(level=m, vertex=w, size=counts[m][j[w]])
+        for m, w in _block_labels(q, n))) for n in levels]
+
+
 def block_profile(q: OrderedQuiver, n: int) -> BlockProfile:
     """Matrix-algebra block labels and sizes of stage n.
+
+    The sizes come from a running vector of path counts;
+    `path_count_matrix` is the matrix-power reference for them.
 
     >>> from .quiver import order_sinks_first, parse_quiver
     >>> toep = order_sinks_first(parse_quiver(
@@ -97,15 +125,7 @@ def block_profile(q: OrderedQuiver, n: int) -> BlockProfile:
     >>> [b.size for b in block_profile(toep, 2).blocks]
     [1, 1, 1, 1]
     """
-    q = as_ordered(q)
-    require_no_sources(q)
-    _check_level(q, n)
-    # sizes[m][j] = number of length-m paths into vertex j (column sums)
-    sizes = [[sum(col) for col in zip(*path_count_matrix(q, m).tolists())]
-             for m in range(n + 1)]
-    blocks = tuple(Block(level=m, vertex=w, size=sizes[m][q.index(w)])
-                   for m, w in _block_labels(q, n))
-    return BlockProfile(level=n, blocks=blocks)
+    return _profiles(as_ordered(q), n)[0]
 
 
 def _spanning_monomials(alg: LeavittAlgebra, labels, by_target) -> tuple:
@@ -224,10 +244,10 @@ def _least_path(by_target, length: int, vertex: str):
 def _stage(q: OrderedQuiver, n: int) -> tuple:
     """What the stage-n transition matrices share: the ordered quiver,
     one rational algebra, its path table up to length n, and the
-    stage-n and stage-(n+1) block profiles, whose level checks come
-    before the algebra is built."""
+    stage-n and stage-(n+1) block profiles, read off one run of path
+    counts, whose level checks come before the algebra is built."""
     q = as_ordered(q)
-    src, dst = block_profile(q, n), block_profile(q, n + 1)
+    src, dst = _profiles(q, n, n + 1)
     alg = LeavittAlgebra(q)
     return q, alg, _paths_by_target(alg, n, _SPAN_LIMIT), src, dst
 

@@ -1,5 +1,6 @@
 """Shared quiver builders, random generators, a literal-definition
-torsion counter and a time-bounded call for the test suite."""
+torsion counter, a step-by-step rewriting reference and a time-bounded
+call for the test suite."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import random
 import signal
 
 from leavittk import OrderedQuiver, Quiver, order_sinks_first
+from leavittk.algebra import Monomial, Path
 from leavittk.ktheory import rose_quiver
 
 
@@ -122,6 +124,39 @@ def literal_torsion_counts(matrix, m: int, qs) -> dict:
         assert lifted % len(image) == 0
         counts[q] = (killed, lifted // len(image))
     return counts
+
+
+def ck_rewrite(alg, mon):
+    """One Cuntz-Krieger rewrite of `mon` at its junction, as (sign,
+    monomial) pairs, or None when `mon` is normal: s'g.(t'g)*, g special
+    at v, is s'.t'* minus s'h.(t'h)* for the other arrows h at v."""
+    left, right = mon
+    if not left.arrows or not right.arrows \
+            or left.arrows[-1] != right.arrows[-1] \
+            or left.arrows[-1] not in alg._junction:
+        return None
+    v, others = alg._junction[left.arrows[-1]]
+    la, ra = left.arrows[:-1], right.arrows[:-1]
+    out = [(1, Monomial(Path(left.source, v, la), Path(right.source, v, ra)))]
+    for h, w in others:
+        out.append((-1, Monomial(Path(left.source, w, la + (h,)),
+                                 Path(right.source, w, ra + (h,)))))
+    return out
+
+
+def rewrite_in_order(alg, terms, pick) -> dict:
+    """Normal form of (monomial, coeff) terms, one rewrite per step: the
+    pending term at index pick(pending) goes next, into the result when
+    normal, else its `ck_rewrite` summands back onto the pending list."""
+    pending, done = list(terms), {}
+    while pending:
+        mon, c = pending.pop(pick(pending))
+        step = ck_rewrite(alg, mon)
+        if step is None:
+            done[mon] = done.get(mon, 0) + c
+        else:
+            pending.extend((m, c if sign > 0 else -c) for sign, m in step)
+    return {m: c for m, c in done.items() if c}
 
 
 class _Overrun(BaseException):

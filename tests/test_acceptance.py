@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from helpers import (ENGINE_QUIVERS, jacobson_quiver, random_no_source_quiver,
-                     rose)
+                     rewrite_in_order, rose)
 from leavittk.cli import main as cli_main
 from leavittk.cli import parse_records
 from leavittk.quiver import render_quiver
@@ -170,11 +170,10 @@ def test_criterion_7_rewriting_property_suite():
             # confluence: 200 random raw expressions, three rewrite orders
             for _ in range(200):
                 raw = _raw_terms(alg, rng)
-                fifo = alg._normalize(list(raw), pick=lambda p: 0)
-                lifo = alg._normalize(list(raw))
-                rand = alg._normalize(list(raw),
-                                      pick=lambda p: rng.randrange(len(p)))
-                assert fifo == lifo == rand
+                want = alg._normalize(list(raw))
+                for pick in (lambda p: 0, lambda p: len(p) - 1,
+                             lambda p: rng.randrange(len(p))):
+                    assert rewrite_in_order(alg, raw, pick) == want
             # CK relations annihilate
             names = [a.name for a in q.arrows]
             for x in names:

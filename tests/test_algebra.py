@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (ENGINE_QUIVERS, call_within, jacobson_quiver, rose,
-                     toeplitz_quiver)
-from leavittk.algebra import (LeavittAlgebra, Monomial, corner_data,
+from helpers import (ENGINE_QUIVERS, call_within, ck_rewrite,
+                     jacobson_quiver, random_no_source_quiver,
+                     rewrite_in_order, rose, toeplitz_quiver)
+from leavittk.algebra import (LeavittAlgebra, Monomial, Path, corner_data,
                               corner_phi, enumerate_basis,
                               random_degree_zero_element, render_element,
                               verify_corner_axioms)
@@ -222,11 +223,11 @@ class TestAssociativityAndConfluence:
             alg = LeavittAlgebra(q)
             for _ in range(40):
                 raw = _random_raw_terms(alg, rng)
-                first = alg._normalize(list(raw), pick=lambda pending: 0)
-                last = alg._normalize(list(raw))
-                shuffled = alg._normalize(
-                    list(raw), pick=lambda pending: rng.randrange(len(pending)))
-                assert first == last == shuffled
+                want = alg._normalize(list(raw))
+                for pick in (lambda pending: 0,
+                             lambda pending: len(pending) - 1,
+                             lambda pending: rng.randrange(len(pending))):
+                    assert rewrite_in_order(alg, raw, pick) == want
 
 
 def _random_raw_terms(alg, rng):
@@ -235,17 +236,7 @@ def _random_raw_terms(alg, rng):
     for _ in range(rng.randint(1, 3)):
         w = rng.choice(alg.vertices)
         d = rng.randint(0, 2)
-        sides = []
-        for _ in range(2):
-            arrows = []
-            v = w
-            for _ in range(d):
-                a = rng.choice(alg._in[v])
-                arrows.append(a)
-                v = alg._src[a]
-            arrows.reverse()
-            sides.append(alg.path(arrows) if arrows else alg.empty_path(w))
-        left, right = sides
+        left, right = (_backward_path(alg, rng, w, d) for _ in range(2))
         # Append the special junction pair where possible to force rewrites.
         if alg._out.get(w):
             g = alg.special[w]
@@ -256,6 +247,121 @@ def _random_raw_terms(alg, rng):
                     else alg.path([g])
         terms.append((Monomial(left, right), Fraction(rng.randint(1, 3))))
     return terms
+
+
+def _backward_path(alg, rng, w, length):
+    """A random path of `length` arrows into w, built backwards."""
+    arrows, v = [], w
+    for _ in range(length):
+        a = rng.choice(alg._in[v])
+        arrows.append(a)
+        v = alg._src[a]
+    arrows.reverse()
+    return alg.path(arrows) if arrows else alg.empty_path(w)
+
+
+def _chain_terms(alg, rng):
+    """Random (monomial, coeff) terms, many ending in a chain of common
+    arrows, mostly special ones, so that rewrites nest; coefficients
+    include 0 and proper fractions."""
+    coeffs = [0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2)]
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        w = rng.choice(alg.vertices)
+        left = _backward_path(alg, rng, w, rng.randint(0, 2))
+        right = _backward_path(alg, rng, w, rng.randint(0, 2))
+        chain = []
+        for _ in range(rng.randint(0, 4)):
+            if not alg._out[w]:
+                break
+            a = alg.special[w] if rng.random() < 0.7 \
+                else rng.choice(alg._out[w])
+            chain.append(a)
+            w = alg._tgt[a]
+        left = Path(left.source, w, left.arrows + tuple(chain))
+        right = Path(right.source, w, right.arrows + tuple(chain))
+        terms.append((Monomial(left, right), rng.choice(coeffs)))
+    return terms
+
+
+def _strip_prefix_product(m1, m2):
+    """(s1.t1*)(s2.t2*) before rewriting, by stripping one path off the
+    front of the other; None means zero."""
+    def strip(prefix, whole):
+        k = len(prefix.arrows)
+        if prefix.source != whole.source or whole.arrows[:k] != prefix.arrows:
+            return None
+        return Path(prefix.target, whole.target, whole.arrows[k:])
+
+    def concat(p, q):
+        assert p.target == q.source
+        return Path(p.source, q.target, p.arrows + q.arrows)
+
+    rest = strip(m1.right, m2.left)
+    if rest is not None:
+        return Monomial(concat(m1.left, rest), m2.right)
+    rest = strip(m2.left, m1.right)
+    if rest is not None:
+        return Monomial(m1.left, concat(m2.right, rest))
+    return None
+
+
+def _reference_quivers():
+    rng = random.Random(21)
+    sinky = [random_no_source_quiver(rng, max_vertices=4, max_arrows=7)
+             for _ in range(12)]
+    assert sum(1 for q in sinky if q.v_prime) >= 3
+    return list(ENGINE_QUIVERS.values()) + sinky
+
+
+class TestRewritingReference:
+    """The one-walk rewriting and the tuple-level products against
+    step-by-step references."""
+
+    def test_normalize_equals_rewriting_step_by_step(self):
+        rng = random.Random(22)
+        seen_zero = seen_fraction = nested = 0
+        for q in _reference_quivers():
+            alg = LeavittAlgebra(q)
+            for _ in range(60):
+                raw = _chain_terms(alg, rng)
+                seen_zero += any(c == 0 for _, c in raw)
+                seen_fraction += any(isinstance(c, Fraction) for _, c in raw)
+                want = rewrite_in_order(alg, raw, lambda p: len(p) - 1)
+                got = alg._normalize(list(raw))
+                assert got == want
+                assert all(alg._is_normal(m) and c for m, c in got.items())
+                steps = [ck_rewrite(alg, m) for m, _ in raw]
+                nested += any(step and ck_rewrite(alg, step[0][1])
+                              for step in steps)
+        assert seen_zero and seen_fraction and nested
+
+    def test_mul_monomials_equals_strip_prefix(self):
+        rng = random.Random(23)
+        zero = nonzero = empty = 0
+        for q in _reference_quivers():
+            alg = LeavittAlgebra(q)
+            for _ in range(80):
+                m1 = m2 = _chain_terms(alg, rng)[0][0]
+                if rng.random() < 0.5:
+                    m2 = _chain_terms(alg, rng)[0][0]
+                elif rng.random() < 0.5:
+                    # s2 a prefix of t1: the product extends t2
+                    r = m1.right
+                    k = rng.randint(0, len(r.arrows))
+                    head = Path(r.source, alg._tgt[r.arrows[k - 1]]
+                                if k else r.source, r.arrows[:k])
+                    m2 = Monomial(head, head)
+                got = alg._mul_monomials(m1, m2)
+                assert got == _strip_prefix_product(m1, m2)
+                if got is None:
+                    zero += 1
+                else:
+                    nonzero += 1
+                    assert type(got) is Monomial
+                    assert all(type(p) is Path for p in got)
+                empty += not m1.right.arrows or not m2.left.arrows
+        assert zero and nonzero and empty
 
 
 class TestCornerData:

@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import call_within, jacobson_quiver, random_no_source_quiver, \
-    rose, toeplitz_quiver
-from leavittk import cli, filtration
+from helpers import call_within, ck_rewrite, jacobson_quiver, \
+    random_no_source_quiver, rose, toeplitz_quiver
+from leavittk import cli, filtration, quiver
 from leavittk.algebra import LeavittAlgebra, Monomial, _paths_by_target, \
     _sort_key
 from leavittk.filtration import (block_profile, expected_inclusion_matrix,
@@ -15,7 +15,8 @@ from leavittk.filtration import (block_profile, expected_inclusion_matrix,
 from leavittk.groups import SizeLimitError
 from leavittk.ktheory import leavitt_matrix
 from leavittk.matrices import IntMatrix
-from leavittk.quiver import SourcesPresentError, order_sinks_first, parse_quiver
+from leavittk.quiver import SourcesPresentError, order_sinks_first, \
+    parse_quiver, path_count_matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,6 +66,48 @@ class TestBlockProfile:
         with pytest.raises(SourcesPresentError):
             block_profile(q, 1)
 
+    @staticmethod
+    def _seeded_quivers() -> list:
+        rng = random.Random(20)
+        quivers = [random_no_source_quiver(rng, also_sink_free=i % 2 == 1)
+                   for i in range(40)]
+        assert any(q.v_prime for q in quivers)
+        assert any(not q.v_prime for q in quivers)
+        return quivers
+
+    def test_sizes_are_path_count_column_sums(self):
+        """The matrix-power reference: block (m, w) has the column sum of
+        A^m at w."""
+        for q in self._seeded_quivers():
+            for n in range(7):
+                sums = [[sum(col) for col in
+                         zip(*path_count_matrix(q, m).tolists())]
+                        for m in range(n + 1)]
+                prof = block_profile(q, n)
+                assert [b.size for b in prof.blocks] \
+                    == [sums[b.level][q.index(b.vertex)] for b in prof.blocks]
+
+    def test_no_matrix_products(self, monkeypatch):
+        quivers = self._seeded_quivers()
+        calls = []
+        matmul, incidence = IntMatrix.__matmul__, quiver.incidence_matrix
+
+        def counting_matmul(a, b):
+            calls.append("matmul")
+            return matmul(a, b)
+
+        def counting_incidence(q):
+            calls.append("incidence")
+            return incidence(q)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counting_matmul)
+        monkeypatch.setattr(quiver, "incidence_matrix", counting_incidence)
+        for q in quivers:
+            block_profile(q, 6)
+        assert calls == []
+        path_count_matrix(quivers[0], 2)
+        assert "matmul" in calls and "incidence" in calls
+
 
 class TestSpanDimension:
     def test_toeplitz(self):
@@ -109,6 +152,23 @@ class TestLevelBound:
         got = call_within(2, lambda: filtration_span_dim(rose(1), 59999))
         assert isinstance(got, SizeLimitError)
 
+    def test_long_cycle_at_level_twenty(self, tmp_path, capsys):
+        """240 vertices in one cycle: inside the work bound at level 20,
+        so the request must finish, not hang."""
+        names = [f"v{i}" for i in range(240)]
+        text = "vertices " + " ".join(names) + "\n" + "".join(
+            f"arrow a{i} {v} {names[(i + 1) % 240]}\n"
+            for i, v in enumerate(names))
+        path = tmp_path / "cycle240.q"
+        path.write_text(text)
+        code = call_within(5, lambda: cli.main(
+            ["filtration", str(path), "--level", "20", "--format", "records"]))
+        assert code == 0
+        records = dict(cli.parse_records(capsys.readouterr().out))
+        assert records["symbolic_dimension"] == "240"
+        assert [records[k] for k in ("dimension_match", "inclusion_match",
+                                     "phi_match")] == ["OK", "OK", "OK"]
+
     @pytest.mark.parametrize("name", DATA_QUIVERS)
     def test_low_levels_run(self, name):
         q = DATA_QUIVERS[name]
@@ -119,21 +179,22 @@ class TestLevelBound:
 
 
 def _count_builds(monkeypatch) -> dict:
-    """Patch LeavittAlgebra.__init__ and filtration.block_profile to count
-    calls: algebra "builds" and "profiles"."""
-    counts = {"builds": 0, "profiles": 0}
-    init, profile = LeavittAlgebra.__init__, filtration.block_profile
+    """Patch LeavittAlgebra.__init__ and filtration._profiles to count
+    calls: algebra "builds" and runs of the path-count vector that block
+    profiles are read from ("count_runs")."""
+    counts = {"builds": 0, "count_runs": 0}
+    init, profiles = LeavittAlgebra.__init__, filtration._profiles
 
     def counting_init(self, quiver):
         counts["builds"] += 1
         init(self, quiver)
 
-    def counting_profile(q, n):
-        counts["profiles"] += 1
-        return profile(q, n)
+    def counting_profiles(q, *levels):
+        counts["count_runs"] += 1
+        return profiles(q, *levels)
 
     monkeypatch.setattr(LeavittAlgebra, "__init__", counting_init)
-    monkeypatch.setattr(filtration, "block_profile", counting_profile)
+    monkeypatch.setattr(filtration, "_profiles", counting_profiles)
     return counts
 
 
@@ -172,8 +233,7 @@ class TestShortestLeadPivots:
         of its first non-normal monomial s'g(t'g)*: those summands and
         that monomial satisfy one linear relation."""
         alg, labels, monomials, count, rest = _stage_two(name)
-        rewrite = next(step for step in map(alg._junction_expand, monomials)
-                       if step is not None)
+        rewrite = next(filter(None, (ck_rewrite(alg, m) for m in monomials)))
         extra = [m for _, m in rewrite if m not in monomials]
         dependent = monomials + extra
         assert len(dependent) > len(monomials)
@@ -228,10 +288,10 @@ class TestBlockCounting:
         rewritten = []
         normalize = LeavittAlgebra._normalize
 
-        def counting_normalize(self, terms, pick=None):
+        def counting_normalize(self, terms):
             terms = list(terms)
             rewritten.extend(m for m, _ in terms)
-            return normalize(self, terms, pick)
+            return normalize(self, terms)
 
         monkeypatch.setattr(LeavittAlgebra, "_normalize", counting_normalize)
         assert filtration_span_dim(jacobson_quiver(2), 4) == 13942
@@ -262,7 +322,7 @@ class TestBuildsOncePerCall:
         want = block_profile(q, 3).sum_of_squares
         counts = _count_builds(monkeypatch)
         assert filtration_span_dim(q, 3) == want
-        assert counts == {"builds": 1, "profiles": 0}
+        assert counts == {"builds": 1, "count_runs": 0}
 
     def test_filtration_command(self, monkeypatch, capsys):
         counts = _count_builds(monkeypatch)
@@ -277,14 +337,14 @@ class TestBuildsOncePerCall:
         assert cli.main(["filtration", str(DATA / "jacobson2.q"),
                          "--level", "3"]) == 0
         assert "dimension match: OK" in capsys.readouterr().out
-        assert counts == {"builds": 1, "profiles": 2}
+        assert counts == {"builds": 1, "count_runs": 1}
         assert tables == [3]
 
     def test_stabilized_block_difference(self, monkeypatch):
         counts = _count_builds(monkeypatch)
         q = jacobson_quiver(2)
         assert stabilized_block_difference(q, 3) == leavitt_matrix(q)
-        assert counts == {"builds": 1, "profiles": 2}
+        assert counts == {"builds": 1, "count_runs": 1}
 
 
 class TestTransitionMatrices:
