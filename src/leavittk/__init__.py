@@ -2,8 +2,8 @@
 quiver data, with a symbolic rewriting engine for cross-validation."""
 
 from .algebra import (CornerAxiomReport, CornerData, Element, LeavittAlgebra,
-                      Monomial, Path, corner_data, corner_phi, enumerate_basis,
-                      render_element, verify_corner_axioms)
+                      Monomial, Path, corner_data, corner_phi, render_element,
+                      verify_corner_axioms)
 from .element_syntax import ElementSyntaxError, parse_element
 from .filtration import (Block, BlockProfile, block_profile,
                          expected_inclusion_matrix, expected_phi_matrix,
@@ -21,9 +21,8 @@ from .ktheory import (CoefficientTheory, DegreeData, DivisibilityReport,
                       uct_order_check)
 from .matrices import IntMatrix, SmithDecomposition, smith_normal_form
 from .quiver import (Arrow, OrderedQuiver, Quiver, QuiverParseError,
-                     SourcesPresentError, as_ordered, check_no_sources,
-                     incidence_matrix, order_sinks_first, parse_quiver,
-                     path_count_matrix, reduced_incidence, render_quiver,
-                     require_no_sources)
+                     SourcesPresentError, as_ordered, incidence_matrix,
+                     order_sinks_first, parse_quiver, reduced_incidence,
+                     render_quiver, require_no_sources)
 
 __version__ = "0.1.0"

@@ -139,26 +139,38 @@ class LeavittAlgebra:
         return _new(Monomial, (
             l1, _new(Path, (r2.source, r1.target, r2.arrows + a[j:]))))
 
-    def _normalize(self, terms) -> dict:
+    def _normalize(self, terms, implicit=None) -> dict:
         """Rewrite loosely-formed (monomial, coeff) terms to normal form.
 
         c.s'g.(t'g)*, g special at v, is c.s'.t'* minus c.s'h.(t'h)* over
         the other arrows h at v.  Those summands are normal, so they go
         straight into the result; one walk per term strips its common
         special-arrow suffix that way and adds the stripped monomial last.
+
+        `implicit`, {length m: set of endpoints w}, names normal monomials
+        s.t* with |s| = |t| = m ending at w that the result leaves out:
+        such a summand is never built.  Its key alone decides that, so
+        the result is the full normal form less those terms.
         """
-        junction, done = self._junction, {}
+        junction, done, skip = self._junction, {}, implicit or {}
         for mon, c in terms:
             left, right = mon
             la, ra, v = left.arrows, right.arrows, None
             while la and ra and la[-1] == ra[-1] and la[-1] in junction:
                 v, others = junction[la[-1]]
                 la, ra = la[:-1], ra[:-1]
+                ends = skip.get(len(la) + 1, ()) \
+                    if skip and len(la) == len(ra) else ()
                 for h, w in others:
+                    if w in ends:
+                        continue
                     key = _new(Monomial, (
                         _new(Path, (left.source, w, la + (h,))),
                         _new(Path, (right.source, w, ra + (h,)))))
                     done[key] = done.get(key, 0) - c
+            if skip and len(la) == len(ra) and (
+                    left.target if v is None else v) in skip.get(len(la), ()):
+                continue
             if v is not None:
                 mon = _new(Monomial, (_new(Path, (left.source, v, la)),
                                       _new(Path, (right.source, v, ra))))
@@ -427,32 +439,8 @@ def verify_corner_axioms(alg: LeavittAlgebra, samples: int = 25,
     return CornerAxiomReport(checks=tuple(checks))
 
 
-_BASIS_LIMIT = 20000
 # The most raw terms one product of elements may expand to.
 _PRODUCT_LIMIT = 20000
-
-
-def enumerate_basis(alg: LeavittAlgebra, max_path_len: int) -> list:
-    """All normal-form monomials with both sides of length <= max_path_len.
-
-    Deterministic order; raises SizeLimitError when the candidate count
-    would exceed 20000.
-    """
-    by_target = _paths_by_target(alg, max_path_len, _BASIS_LIMIT)
-    out = []
-    for w in alg.vertices:
-        pool = [p for length in range(max_path_len + 1)
-                for p in by_target[length].get(w, ())]
-        if len(pool) ** 2 > _BASIS_LIMIT:
-            raise SizeLimitError(
-                f"basis enumeration would exceed {_BASIS_LIMIT} monomials")
-        for left in pool:
-            for right in pool:
-                mon = Monomial(left, right)
-                if alg._is_normal(mon):
-                    out.append(mon)
-    out.sort(key=_sort_key)
-    return out
 
 
 def _paths_by_target(alg: LeavittAlgebra, max_len: int, limit: int):
@@ -484,7 +472,6 @@ __all__ = [
     "Path",
     "corner_data",
     "corner_phi",
-    "enumerate_basis",
     "random_degree_zero_element",
     "render_element",
     "verify_corner_axioms",

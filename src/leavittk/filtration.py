@@ -117,7 +117,8 @@ def block_profile(q: OrderedQuiver, n: int) -> BlockProfile:
     """Matrix-algebra block labels and sizes of stage n.
 
     The sizes come from a running vector of path counts;
-    `path_count_matrix` is the matrix-power reference for them.
+    `path_count_matrix` in tests/helpers.py is the matrix-power
+    reference for them.
 
     >>> from .quiver import order_sinks_first, parse_quiver
     >>> toep = order_sinks_first(parse_quiver(
@@ -163,8 +164,9 @@ def _span_rank(alg: LeavittAlgebra, labels, monomials) -> int:
     `labels` is empty), by sparse elimination on leading monomials.
 
     Those normal monomials are implicit pivots with rows {itself: 1}, so
-    a row drops every term that is one of them, a normal s.t* with
-    |s| = |t| = m ending at w for (m, w) in `labels`, as it is built.
+    a row has no term that is one of them, a normal s.t* with
+    |s| = |t| = m ending at w for (m, w) in `labels`: `_normalize` is
+    given them and never builds such a term.
 
     A row's lead is its shortest term.  A normal monomial is its own row.
     The row of a non-normal spanning monomial s'g.(t'g)*, g a special
@@ -178,12 +180,12 @@ def _span_rank(alg: LeavittAlgebra, labels, monomials) -> int:
     A pivot whose row went in unreduced and unscaled keeps only the
     monomial it came from, rewritten again only on such a collision.
     """
-    implicit = {(m, m, w) for m, w in labels}
+    implicit: dict = {}  # length m -> endpoints w of the labels (m, w)
+    for m, w in labels:
+        implicit.setdefault(m, set()).add(w)
 
     def row_of(mon) -> dict:
-        return {k: c for k, c in alg._normalize([(mon, 1)]).items()
-                if (len(k.left.arrows), len(k.right.arrows), k.left.target)
-                not in implicit}
+        return alg._normalize([(mon, 1)], implicit)
 
     pivots: dict = {}  # lead -> row, or the monomial the row came from
     for mon in monomials:

@@ -113,20 +113,6 @@ class IntMatrix:
                                          for col in ot)
                                    for row in self._data), other.cols)
 
-    def __pow__(self, m: int) -> "IntMatrix":
-        if self.rows != self.cols:
-            raise ValueError("matrix power needs a square matrix")
-        if m < 0:
-            raise ValueError("negative power")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while m:
-            if m & 1:
-                result = result @ base
-            base = base @ base
-            m >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self._data == other._data \
             and (self.rows, self.cols) == (other.rows, other.cols)

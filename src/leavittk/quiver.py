@@ -58,11 +58,6 @@ class Quiver:
         return all(a.source != v for a in self.arrows)
 
 
-class NoSourceCheck(NamedTuple):
-    ok: bool
-    sources: tuple
-
-
 class SourcesPresentError(ValueError):
     """The operation needs every vertex to have an incoming arrow."""
 
@@ -72,20 +67,19 @@ class SourcesPresentError(ValueError):
 
 
 def require_no_sources(q: "Quiver | OrderedQuiver") -> None:
-    check = check_no_sources(q)
-    if not check.ok:
-        raise SourcesPresentError(check.sources)
+    """Raise SourcesPresentError, naming in `sources` the vertices with
+    no incoming arrow, if there are any.
 
-
-def check_no_sources(q: "Quiver | OrderedQuiver") -> NoSourceCheck:
-    """Report vertices with no incoming arrow.
-
-    >>> check_no_sources(parse_quiver("vertices w\\narrow a w w")).ok
-    True
+    >>> require_no_sources(parse_quiver("vertices w\\narrow a w w"))
+    >>> require_no_sources(parse_quiver("vertices w v\\narrow a w w"))
+    Traceback (most recent call last):
+    ...
+    leavittk.quiver.SourcesPresentError: quiver has sources: v
     """
     with_incoming = set(map(itemgetter(2), q.arrows))
-    offenders = tuple(v for v in q.vertices if v not in with_incoming)
-    return NoSourceCheck(ok=not offenders, sources=offenders)
+    sources = tuple(v for v in q.vertices if v not in with_incoming)
+    if sources:
+        raise SourcesPresentError(sources)
 
 
 @dataclass(frozen=True)
@@ -230,26 +224,16 @@ def reduced_incidence(q: OrderedQuiver) -> IntMatrix:
     return IntMatrix._of(tuple(map(full.row, range(q.num_sinks, q.v))), q.v)
 
 
-def path_count_matrix(q: OrderedQuiver, length: int) -> IntMatrix:
-    """Entry (i, j) counts paths of the given length from v_i to v_j."""
-    if length < 0:
-        raise ValueError("path length must be nonnegative")
-    return incidence_matrix(q) ** length
-
-
 __all__ = [
     "Arrow",
-    "NoSourceCheck",
     "OrderedQuiver",
     "Quiver",
     "QuiverParseError",
     "SourcesPresentError",
     "as_ordered",
-    "check_no_sources",
     "incidence_matrix",
     "order_sinks_first",
     "parse_quiver",
-    "path_count_matrix",
     "reduced_incidence",
     "render_quiver",
     "require_no_sources",

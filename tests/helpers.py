@@ -1,6 +1,7 @@
 """Shared quiver builders, random generators, a literal-definition
-torsion counter, a step-by-step rewriting reference and a time-bounded
-call for the test suite."""
+torsion counter, matrix-power path counts, a normal-basis enumeration,
+a step-by-step rewriting reference and a time-bounded call for the
+test suite."""
 
 from __future__ import annotations
 
@@ -8,9 +9,11 @@ import itertools
 import random
 import signal
 
-from leavittk import OrderedQuiver, Quiver, order_sinks_first
-from leavittk.algebra import Monomial, Path
+from leavittk import OrderedQuiver, Quiver, order_sinks_first, quiver
+from leavittk.algebra import Monomial, Path, _paths_by_target, _sort_key
+from leavittk.groups import SizeLimitError
 from leavittk.ktheory import rose_quiver
+from leavittk.matrices import IntMatrix
 
 
 def jacobson_quiver(n: int) -> OrderedQuiver:
@@ -124,6 +127,45 @@ def literal_torsion_counts(matrix, m: int, qs) -> dict:
         assert lifted % len(image) == 0
         counts[q] = (killed, lifted // len(image))
     return counts
+
+
+def matrix_power(a: IntMatrix, m: int) -> IntMatrix:
+    """a^m for a square matrix and m >= 0, by repeated squaring."""
+    if a.rows != a.cols or m < 0:
+        raise ValueError("matrix power needs a square matrix and m >= 0")
+    result = IntMatrix.identity(a.rows)
+    while m:
+        if m & 1:
+            result = result @ a
+        a = a @ a
+        m >>= 1
+    return result
+
+
+def path_count_matrix(q: OrderedQuiver, length: int) -> IntMatrix:
+    """Entry (i, j) counts paths of the given length from v_i to v_j: the
+    matrix-power reference for the filtration's block sizes."""
+    return matrix_power(quiver.incidence_matrix(q), length)
+
+
+_BASIS_LIMIT = 20000
+
+
+def enumerate_basis(alg, max_path_len: int) -> list:
+    """All normal-form monomials with both sides of length <= max_path_len,
+    in `_sort_key` order; SizeLimitError past 20000 candidates."""
+    by_target = _paths_by_target(alg, max_path_len, _BASIS_LIMIT)
+    out = []
+    for w in alg.vertices:
+        pool = [p for length in range(max_path_len + 1)
+                for p in by_target[length].get(w, ())]
+        if len(pool) ** 2 > _BASIS_LIMIT:
+            raise SizeLimitError(
+                f"basis enumeration would exceed {_BASIS_LIMIT} monomials")
+        out.extend(mon for left in pool for right in pool
+                   if alg._is_normal(mon := Monomial(left, right)))
+    out.sort(key=_sort_key)
+    return out
 
 
 def ck_rewrite(alg, mon):

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import (ENGINE_QUIVERS, call_within, ck_rewrite,
-                     jacobson_quiver, random_no_source_quiver,
-                     rewrite_in_order, rose, toeplitz_quiver)
+                     enumerate_basis, jacobson_quiver,
+                     random_no_source_quiver, rewrite_in_order, rose,
+                     toeplitz_quiver)
 from leavittk.algebra import (LeavittAlgebra, Monomial, Path, corner_data,
-                              corner_phi, enumerate_basis,
-                              random_degree_zero_element, render_element,
-                              verify_corner_axioms)
+                              corner_phi, random_degree_zero_element,
+                              render_element, verify_corner_axioms)
 from leavittk.element_syntax import ElementSyntaxError, parse_element
 from leavittk.groups import SizeLimitError
 from leavittk.quiver import Quiver, parse_quiver

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import call_within, ck_rewrite, jacobson_quiver, \
-    random_no_source_quiver, rose, toeplitz_quiver
+from helpers import ENGINE_QUIVERS, call_within, ck_rewrite, \
+    jacobson_quiver, path_count_matrix, random_no_source_quiver, rose, \
+    toeplitz_quiver
 from leavittk import cli, filtration, quiver
 from leavittk.algebra import LeavittAlgebra, Monomial, _paths_by_target, \
     _sort_key
@@ -16,7 +17,7 @@ from leavittk.groups import SizeLimitError
 from leavittk.ktheory import leavitt_matrix
 from leavittk.matrices import IntMatrix
 from leavittk.quiver import SourcesPresentError, order_sinks_first, \
-    parse_quiver, path_count_matrix
+    parse_quiver
 
 DATA = Path(__file__).parent / "data"
 
@@ -288,22 +289,23 @@ class TestBlockCounting:
         rewritten = []
         normalize = LeavittAlgebra._normalize
 
-        def counting_normalize(self, terms):
+        def counting_normalize(self, terms, implicit=None):
             terms = list(terms)
             rewritten.extend(m for m, _ in terms)
-            return normalize(self, terms)
+            return normalize(self, terms, implicit)
 
         monkeypatch.setattr(LeavittAlgebra, "_normalize", counting_normalize)
         assert filtration_span_dim(jacobson_quiver(2), 4) == 13942
         assert len(rewritten) == 729
 
     def test_block_counted_rank_equals_explicit_rank(self):
-        """Seeded random quivers, some with sinks: counting the normal
-        part and passing every spanning monomial give one rank."""
+        """The engine quivers and seeded random quivers, some with sinks:
+        counting the normal part and passing every spanning monomial give
+        one rank."""
         rng = random.Random(4)
         quivers = [random_no_source_quiver(rng) for _ in range(40)]
         assert any(q.v_prime for q in quivers)
-        for q in quivers:
+        for q in list(ENGINE_QUIVERS.values()) + quivers:
             alg = LeavittAlgebra(q)
             by_target = _paths_by_target(alg, 3, filtration._SPAN_LIMIT)
             for n in range(4):
@@ -314,6 +316,77 @@ class TestBlockCounting:
                 rank = filtration._span_rank(alg, [], everything)
                 assert count + filtration._span_rank(alg, labels, rest) \
                     == rank == filtration_span_dim(q, n)
+
+
+def _without(row: dict, implicit: dict) -> dict:
+    """`row` less its terms s.t* with |s| = |t| = m ending at a w in
+    implicit[m]."""
+    return {k: c for k, c in row.items()
+            if len(k.left.arrows) != len(k.right.arrows)
+            or k.left.target not in implicit.get(len(k.left.arrows), ())}
+
+
+class TestImplicitPivotsInRewrite:
+    """`_normalize` given the implicit pivots builds no term among them,
+    and leaves every other term of the normal form as it is."""
+
+    @staticmethod
+    def _quivers() -> list:
+        rng = random.Random(21)
+        with_sinks = [q for q in (random_no_source_quiver(rng, 4, 8)
+                                  for _ in range(80)) if q.v_prime]
+        assert len(with_sinks) >= 20
+        return list(ENGINE_QUIVERS.values()) + with_sinks[:20]
+
+    def test_dropped_terms_are_exactly_the_implicit_ones(self):
+        """Every non-normal spanning monomial of levels 0-3, against the
+        stage's own pivots and against every equal-length monomial of
+        length at most 3, which also drops the stripped monomial."""
+        dropped = stripped = 0
+        for q in self._quivers():
+            alg = LeavittAlgebra(q)
+            by_target = _paths_by_target(alg, 3, filtration._SPAN_LIMIT)
+            everything = {m: set(alg.vertices) for m in range(4)}
+            for n in range(4):
+                labels = filtration._block_labels(q, n)
+                stage: dict = {}
+                for m, w in labels:
+                    stage.setdefault(m, set()).add(w)
+                _, rest = filtration._spanning_monomials(
+                    alg, labels, by_target)
+                for mon in rest:
+                    full = alg._normalize([(mon, 1)])
+                    for implicit in (stage, everything):
+                        row = alg._normalize([(mon, 1)], implicit)
+                        assert row == _without(full, implicit)
+                    dropped += len(full) - len(_without(full, stage))
+                    stripped += min(full, key=_sort_key) \
+                        not in alg._normalize([(mon, 1)], everything)
+        assert dropped and stripped
+
+    def test_unequal_lengths_and_summed_terms(self):
+        """Every non-normal pair of paths of lengths at most 3 into one
+        vertex, unequal lengths included, one at a time and all at once
+        with random coefficients, against every equal-length monomial of
+        length at most 2."""
+        rng = random.Random(22)
+        for q in self._quivers():
+            alg = LeavittAlgebra(q)
+            by_target = _paths_by_target(alg, 3, filtration._SPAN_LIMIT)
+            implicit = {m: set(alg.vertices) for m in range(3)}
+            pool: dict = {}
+            for level in by_target:
+                for w, paths in level.items():
+                    pool.setdefault(w, []).extend(paths)
+            terms = [(Monomial(s, t), rng.choice((1, -1, 2, 3)))
+                     for paths in pool.values() for s in paths for t in paths
+                     if not alg._is_normal(Monomial(s, t))]
+            assert any(len(m.left) != len(m.right) for m, _ in terms)
+            for term in terms:
+                assert alg._normalize([term], implicit) \
+                    == _without(alg._normalize([term]), implicit)
+            assert alg._normalize(terms, implicit) \
+                == _without(alg._normalize(terms), implicit)
 
 
 class TestBuildsOncePerCall:

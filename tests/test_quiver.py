@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from helpers import jacobson_quiver, random_no_source_quiver, rose, \
-    toeplitz_quiver
+from helpers import jacobson_quiver, path_count_matrix, \
+    random_no_source_quiver, rose, toeplitz_quiver
 from leavittk.matrices import IntMatrix
 from leavittk.quiver import (Arrow, OrderedQuiver, Quiver, QuiverParseError,
-                             as_ordered, check_no_sources, incidence_matrix,
-                             order_sinks_first, parse_quiver,
-                             path_count_matrix, reduced_incidence,
-                             render_quiver)
+                             SourcesPresentError, as_ordered,
+                             incidence_matrix, order_sinks_first,
+                             parse_quiver, reduced_incidence, render_quiver,
+                             require_no_sources)
 
 
 class TestParsing:
@@ -80,16 +80,16 @@ class TestParsing:
 
 class TestNoSources:
     def test_rose_has_none(self):
-        assert check_no_sources(rose(2)).ok
+        assert require_no_sources(rose(2)) is None
 
     def test_jacobson_has_none(self):
-        ok, offenders = check_no_sources(jacobson_quiver(1))
-        assert ok and offenders == ()
+        assert require_no_sources(jacobson_quiver(1)) is None
 
     def test_isolated_vertex_is_source(self):
         q = parse_quiver("vertices w")
-        ok, offenders = check_no_sources(q)
-        assert not ok and offenders == ("w",)
+        with pytest.raises(SourcesPresentError) as err:
+            require_no_sources(q)
+        assert err.value.sources == ("w",)
 
 
 class TestOrdering:
