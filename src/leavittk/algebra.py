@@ -305,8 +305,7 @@ class Element:
             and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.algebra.quiver,
-                     tuple(sorted(self._terms.items(), key=lambda t: _sort_key(t[0])))))
+        return hash((self.algebra.quiver, self.terms()))
 
     def __repr__(self) -> str:
         return f"<Element {render_element(self)}>"

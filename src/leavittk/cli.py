@@ -131,6 +131,15 @@ def _matrix_row(key: str, m) -> tuple:
     return (key, ";".join(lines), "\n".join(lines))
 
 
+def _table_rows(table, key_suffix: str) -> list:
+    """One row per degree of a K-group table; `key_suffix` follows the
+    K_{n} of each record key."""
+    m = table.modulus.m
+    return [(f"K_{{{n}}}{key_suffix}", str(entry.group),
+             f"K_{{{n}}}(L_Q; Z/{m}) = {entry.group}")
+            for n, entry in table.entries]
+
+
 def _window(args) -> tuple:
     if args.n_from > args.n_to:
         raise _CliError(EXIT_PARSE, "empty degree window")
@@ -151,10 +160,7 @@ def _cmd_kmod(args) -> list:
         rows.append((None, None, f"# modulus {m} is not a prime power: "
                                  "table is a formal extension by CRT"))
     rows.append(("modulus", str(m), None))
-    for n, entry in table.entries:
-        rows.append((f"K_{{{n}}}", str(entry.group),
-                     f"K_{{{n}}}(L_Q; Z/{m}) = {entry.group}"))
-    return rows
+    return rows + _table_rows(table, "")
 
 
 def _cmd_analyze(args) -> list:
@@ -175,9 +181,7 @@ def _cmd_analyze(args) -> list:
     for entry in report.entries:
         m = entry.modulus.m
         rows.append((None, None, f"[modulus {entry.prime}^{entry.power} = {m}]"))
-        for n, kentry in entry.table.entries:
-            rows.append((f"K_{{{n}}}(mod {m})", str(kentry.group),
-                         f"K_{{{n}}}(L_Q; Z/{m}) = {kentry.group}"))
+        rows += _table_rows(entry.table, f"(mod {m})")
         for conclusion in entry.conclusions:
             rows.append((f"conclusion(mod {m})", conclusion,
                          f"conclusion: {conclusion}"))
@@ -237,13 +241,13 @@ def _cmd_split(args) -> list:
              f"n = {result.n}; prime power factors: {factors}"),
             ("factors", factors, None),
             ("modulus", str(modulus.m), f"modulus = {modulus.m}")]
-    right = dict(result.right_groups)
-    for deg, ok in result.equal_by_degree:
-        left = result.left.group_at(deg)
-        rows.append((f"degree_{deg}", f"{left} | {right[deg]} | "
+    for deg in result.left.degrees():
+        left, right = result.left.group_at(deg), result.right.group_at(deg)
+        ok = left == right
+        rows.append((f"degree_{deg}", f"{left} | {right} | "
                      + ("equal" if ok else "different"),
                      f"degree {deg}: whole = {left}; sum of factors = "
-                     f"{right[deg]}; " + ("equal" if ok else "DIFFERENT")))
+                     f"{right}; " + ("equal" if ok else "DIFFERENT")))
     verdict = "EQUAL" if result.equal else "UNEQUAL"
     return rows + [("verdict", verdict, f"verdict: {verdict}")]
 

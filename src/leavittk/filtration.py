@@ -168,42 +168,33 @@ def _span_rank(alg: LeavittAlgebra, labels, monomials) -> int:
     |s| = |t| = m ending at w for (m, w) in `labels`: `_normalize` is
     given them and never builds such a term.
 
-    A row's lead is its shortest term.  A normal monomial is its own row.
-    The row of a non-normal spanning monomial s'g.(t'g)*, g a special
-    arrow, has as shortest term the monomial with the common
-    special-arrow suffix of both sides stripped, with coefficient 1.  It
-    is shorter than its block's level and ends at a non-sink, so it is
-    no spanning monomial, and the special arrows fix the stripped chain,
-    so no two rows share it.  Every lead is then new and the elimination
-    is triangular: no row is reduced.  A lead that does collide (on a
-    repeated or dependent input) is still reduced against its pivot.
-    A pivot whose row went in unreduced and unscaled keeps only the
-    monomial it came from, rewritten again only on such a collision.
+    A row's lead is its shortest term, and every pivot is stored as its
+    row.  A normal monomial is its own row.  The row of a non-normal
+    spanning monomial s'g.(t'g)*, g a special arrow, has as shortest term
+    the monomial with the common special-arrow suffix of both sides
+    stripped, with coefficient 1.  It is shorter than its block's level
+    and ends at a non-sink, so it is no spanning monomial, and the
+    special arrows fix the stripped chain, so no two rows share it.
+    Every lead is then new and the elimination is triangular: no row is
+    reduced.  A lead that does collide (on a repeated or dependent
+    input) is still reduced against its pivot's row.
     """
     implicit: dict = {}  # length m -> endpoints w of the labels (m, w)
     for m, w in labels:
         implicit.setdefault(m, set()).add(w)
-
-    def row_of(mon) -> dict:
-        return alg._normalize([(mon, 1)], implicit)
-
-    pivots: dict = {}  # lead -> row, or the monomial the row came from
+    pivots: dict = {}  # lead -> row
     for mon in monomials:
-        row, source = row_of(mon), mon
+        row = alg._normalize([(mon, 1)], implicit)
         while row:
             lead = min(row, key=_sort_key) if len(row) > 1 else next(iter(row))
             if lead not in pivots:
                 if row[lead] != 1:
                     inv = alg.coerce(Fraction(1, row[lead]))
                     row = {k: c * inv for k, c in row.items()}
-                    source = None
-                pivots[lead] = row if source is None else source
+                pivots[lead] = row
                 break
-            pivot, source = pivots[lead], None
-            if not isinstance(pivot, dict):
-                pivot = row_of(pivot)
             factor = -row[lead]
-            for k, c in pivot.items():
+            for k, c in pivots[lead].items():
                 s = row.get(k, 0) + factor * c
                 if not s:
                     row.pop(k, None)

@@ -123,8 +123,8 @@ def mod_l_ktheory(q: OrderedQuiver, modulus: Modulus,
     """Degree-indexed table of mod-m K-groups of the path algebra.
 
     Even nonnegative degrees read off the cokernel, odd ones the
-    kernel, negative degrees vanish; both come from one elimination over
-    Z/p^e per prime power of m.
+    kernel, negative degrees vanish; both come from one unit-pivot phase
+    over Z/m, then a small residual elimination per prime power of m.
     Composite moduli are accepted but flagged: the cyclic coefficient
     input is only established for prime powers, so composite tables are
     formal CRT extensions.  A window of more than 10^4 degrees raises
@@ -315,7 +315,6 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
     """
     q = as_ordered(q)
     primes = list(primes)
-    matrix = leavitt_matrix(q)
     top: dict = {}  # prime -> largest requested exponent
     for l, nu in primes:
         if nu < 1 or not _proven_prime(l):
@@ -326,6 +325,7 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
                 or l ** nu >= _POWER_BOUND:
             raise SizeLimitError(f"{l}^{nu} has more than 4300 digits")
         top[l] = max(nu, top.get(l, 0))
+    matrix = leavitt_matrix(q)
     sink_free = q.v_prime == 0
     det = None
     det_primes = None
@@ -343,10 +343,9 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
         kernel, cokernel = (g.tensor_with_cyclic(modulus.m) for g in over_top)
         table = KGroupTable(modulus=modulus, even=cokernel, odd=kernel,
                             window=(0, 2))
-        nonzero_parities = []
-        for n in (0, 1):
-            if not table.group_at(n).is_trivial:
-                nonzero_parities.append("even" if n % 2 == 0 else "odd")
+        nonzero_parities = [parity for parity, group
+                            in (("even", cokernel), ("odd", kernel))
+                            if not group.is_trivial]
         vanishes = not nonzero_parities
         if vanishes:
             conclusions = (
@@ -391,12 +390,16 @@ class SplitCheckResult:
     modulus: Modulus
     factors: tuple  # prime powers of n
     left: KGroupTable
-    right_groups: tuple  # ((degree, FinAbGroup), ...)
-    equal_by_degree: tuple  # ((degree, bool), ...)
+    right: KGroupTable  # the direct sum of the factors' tables
 
     @property
     def equal(self) -> bool:
-        return all(ok for _, ok in self.equal_by_degree)
+        """Whether the two tables agree on the window.  The groups depend
+        only on parity, so its first two nonnegative degrees decide."""
+        lo, hi = self.left.window
+        first = max(lo, 0)
+        return all(self.left.group_at(n) == self.right.group_at(n)
+                   for n in range(first, min(hi, first + 1) + 1))
 
 
 def rose_quiver(petals: int) -> OrderedQuiver:
@@ -411,10 +414,10 @@ _SPLIT_BOUND = 10 ** 5
 def moore_splitting_check(n: int, modulus: Modulus,
                           n_min: int = DEFAULT_WINDOW[0],
                           n_max: int = DEFAULT_WINDOW[1]) -> SplitCheckResult:
-    """Compare the rose on n+1 petals against the degreewise direct sum
-    over the roses of its prime-power factors.  n above 10^5, or a
-    window of more than 10^4 degrees, raises SizeLimitError before n is
-    factorized or any rose is built."""
+    """Compare the rose on n+1 petals against the direct sum of the
+    tables of the roses of its prime-power factors, summed per parity.
+    n above 10^5, or a window of more than 10^4 degrees, raises
+    SizeLimitError before n is factorized or any rose is built."""
     if n < 2:
         raise ValueError("splitting check needs n >= 2")
     if n > _SPLIT_BOUND:
@@ -427,17 +430,13 @@ def moore_splitting_check(n: int, modulus: Modulus,
         left = mod_l_ktheory(rose_quiver(n + 1), modulus, n_min, n_max)
         summands = [mod_l_ktheory(rose_quiver(f + 1), modulus, n_min, n_max)
                     for f in factors]
-    right = []
-    equal = []
-    for deg in left.degrees():
-        total = FinAbGroup.trivial()
-        for table in summands:
-            total = total.direct_sum(table.group_at(deg))
-        right.append((deg, total))
-        equal.append((deg, total == left.group_at(deg)))
+    even = odd = FinAbGroup.trivial()
+    for table in summands:
+        even, odd = even.direct_sum(table.even), odd.direct_sum(table.odd)
+    right = KGroupTable(modulus=modulus, even=even, odd=odd,
+                        window=left.window)
     return SplitCheckResult(n=n, modulus=modulus, factors=factors, left=left,
-                            right_groups=tuple(right),
-                            equal_by_degree=tuple(equal))
+                            right=right)
 
 
 __all__ = [

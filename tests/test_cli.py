@@ -147,6 +147,19 @@ class TestExitCodes:
         assert err == f"work bound exceeded: filtration level {level} would " \
                       f"exceed 60000 matrix cells or path arrows\n"
 
+    @pytest.mark.parametrize("args,code,message", [
+        (["analyze", "rose3.q", "--primes", ","], 3, "no primes given"),
+        (["filtration", "rose2.q", "--level", "-1"], 1,
+         "level must be nonnegative"),
+        (["filtration", "rose3.q", "--level", "10"], 4,
+         "work bound exceeded: path enumeration would exceed 60000 paths")])
+    def test_documented_error_exits(self, args, code, message):
+        """The level-10 stage of rose3 passes the level check but not the
+        path table's own bound."""
+        argv = [args[0], quiver_path(args[1])] + args[2:]
+        got = call_within(5, lambda: run_cli(argv))
+        assert got == (code, "", message + "\n")
+
     def test_undecodable_quiver_exit_one(self, tmp_path):
         path = tmp_path / "latin1.q"
         path.write_bytes(b"vertices caf\xe9\narrow a caf\xe9 caf\xe9\n")
@@ -159,7 +172,10 @@ class TestExitCodes:
         ("1/\u00b2", "position 1: expected digits after '/'"),
         ("9" * 5000, "position 0: a number of 5000 digits is too long"),
         ("(" * 101 + "x" + ")" * 101,
-         "position 100: more than 100 nested parentheses")])
+         "position 100: more than 100 nested parentheses"),
+        ("(x", "position 2: expected ')'"),
+        ("x )", "position 2: trailing input"),
+        ("e(+)", "position 2: expected a vertex id")])
     def test_bad_expression_exit_one(self, text, message):
         code, out, err = run_cli(["algebra", quiver_path("rose2.q"),
                                   "--eval", text])

@@ -301,7 +301,17 @@ class TestMooreSplitting:
         res = moore_splitting_check(6, Modulus.of(4))
         assert res.factors == (2, 3)
         assert res.left.group_at(0) == G(2)
-        assert dict(res.right_groups)[0] == G(2)
+        assert res.right.group_at(0) == G(2)
+
+    @pytest.mark.parametrize("window", [(-3, -1), (1, 1)])
+    def test_window_without_both_parities(self, window):
+        """The parity read compares only the degrees in the window: none
+        in a negative one, only the odd groups in (1, 1)."""
+        for n in (2, 6, 12, 30):
+            for m in (2, 4, 9, 12):
+                res = moore_splitting_check(n, Modulus.of(m), *window)
+                assert res.equal
+                assert res.left.window == res.right.window == window
 
     def test_range(self):
         for n in range(2, 30):
@@ -319,6 +329,24 @@ class TestDivisibilityReport:
     def test_power_past_digit_bound_refused_unbuilt(self, nu):
         got = call_within(2, lambda: divisibility_report(rose(2), [(2, nu)]))
         assert isinstance(got, SizeLimitError)
+
+    @pytest.mark.parametrize("bad", [(6, 1), (2, 0), (2, 14285)])
+    def test_every_power_checked_before_the_map(self, monkeypatch, bad):
+        """A bad l^nu anywhere in the list raises before `leavitt_matrix`
+        runs even once."""
+        calls = []
+        leavitt_matrix = ktheory.leavitt_matrix
+
+        def counting(q):
+            calls.append(q)
+            return leavitt_matrix(q)
+
+        monkeypatch.setattr(ktheory, "leavitt_matrix", counting)
+        with pytest.raises(ValueError):  # SizeLimitError is one too
+            divisibility_report(rose(3), [(5, 1), bad])
+        assert calls == []
+        divisibility_report(rose(3), [(5, 1)])
+        assert len(calls) == 1
 
     def test_power_at_digit_bound_runs(self):
         # 2^14284 has 4300 digits, the most Python converts to text
