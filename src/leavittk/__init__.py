@@ -13,10 +13,9 @@ from .groups import (FinAbGroup, Modulus, SizeLimitError,
                      brute_force_mod_oracle, cokernel_int, cokernel_mod,
                      factorize, kernel_cokernel, kernel_cokernel_mod,
                      kernel_mod, kernel_rank_int, local_smith_exponents)
-from .ktheory import (CoefficientTheory, DegreeData, DivisibilityReport,
-                      KEntry, KGroupTable, LesEntry, SplitCheckResult,
-                      corner_les, divisibility_report, leavitt_matrix,
-                      les_table_for_quiver, mod_l_ktheory,
+from .ktheory import (DegreeData, DivisibilityReport, KGroupTable, LesEntry,
+                      SplitCheckResult, corner_les, divisibility_report,
+                      leavitt_matrix, les_table_for_quiver, mod_l_ktheory,
                       moore_splitting_check, rose_quiver, suslin_coefficients,
                       uct_order_check)
 from .matrices import IntMatrix, SmithDecomposition, smith_normal_form

@@ -135,9 +135,12 @@ def _table_rows(table, key_suffix: str) -> list:
     """One row per degree of a K-group table; `key_suffix` follows the
     K_{n} of each record key."""
     m = table.modulus.m
-    return [(f"K_{{{n}}}{key_suffix}", str(entry.group),
-             f"K_{{{n}}}(L_Q; Z/{m}) = {entry.group}")
-            for n, entry in table.entries]
+    rows = []
+    for n in table.degrees():
+        group = table.group_at(n)
+        rows.append((f"K_{{{n}}}{key_suffix}", str(group),
+                     f"K_{{{n}}}(L_Q; Z/{m}) = {group}"))
+    return rows
 
 
 def _window(args) -> tuple:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, prod
 
 from .groups import FinAbGroup, Modulus, SizeLimitError, _proven_prime, \
@@ -24,10 +23,6 @@ from .quiver import OrderedQuiver, Quiver, as_ordered, order_sinks_first, \
     reduced_incidence, require_no_sources
 
 DEFAULT_WINDOW = (-2, 7)
-
-COKERNEL = "cokernel"
-KERNEL = "kernel"
-ZERO_NEGATIVE = "zero-negative"
 
 
 def leavitt_matrix(q: OrderedQuiver) -> IntMatrix:
@@ -63,12 +58,6 @@ def leavitt_matrix(q: OrderedQuiver) -> IntMatrix:
 
 
 @dataclass(frozen=True)
-class KEntry:
-    group: FinAbGroup
-    provenance: str  # COKERNEL | KERNEL | ZERO_NEGATIVE
-
-
-@dataclass(frozen=True)
 class KGroupTable:
     """Mod-m K-groups over the degrees window[0]..window[1]: zero in
     negative degrees, `even` (the cokernel) in even nonnegative ones and
@@ -80,28 +69,15 @@ class KGroupTable:
     odd: FinAbGroup
     window: tuple  # (n_min, n_max)
 
-    def _entry(self, n: int) -> KEntry:
-        if not self.window[0] <= n <= self.window[1]:
-            raise KeyError(n)
-        if n < 0:
-            return KEntry(FinAbGroup.trivial(), ZERO_NEGATIVE)
-        if n % 2 == 0:
-            return KEntry(self.even, COKERNEL)
-        return KEntry(self.odd, KERNEL)
-
-    @property
-    def entries(self) -> tuple:
-        """((degree, KEntry), ...) in ascending degree."""
-        return tuple((n, self._entry(n)) for n in self.degrees())
-
     def degrees(self) -> tuple:
         return tuple(range(self.window[0], self.window[1] + 1))
 
     def group_at(self, n: int) -> FinAbGroup:
-        return self._entry(n).group
-
-    def provenance_at(self, n: int) -> str:
-        return self._entry(n).provenance
+        if not self.window[0] <= n <= self.window[1]:
+            raise KeyError(n)
+        if n < 0:
+            return FinAbGroup.trivial()
+        return self.odd if n % 2 else self.even
 
 
 _WINDOW_BOUND = 10 ** 4
@@ -170,27 +146,6 @@ class DegreeData:
 
 
 @dataclass(frozen=True)
-class CoefficientTheory:
-    """Per-degree coefficient groups with their induced endomorphisms.
-
-    Every degree the sequence reads must be listed in `degrees`; a degree
-    absent from it is an error.
-    """
-
-    degrees: tuple  # ((degree, DegreeData), ...)
-
-    @cached_property
-    def _by_degree(self) -> dict:
-        return dict(self.degrees)
-
-    def data_at(self, n: int) -> DegreeData:
-        try:
-            return self._by_degree[n]
-        except KeyError:
-            raise KeyError(f"no coefficient data for degree {n}") from None
-
-
-@dataclass(frozen=True)
 class LesEntry:
     """One degree of the long exact sequence: the middle group is an
     extension of `quotient` (kernel one degree down) by `sub` (cokernel
@@ -214,8 +169,11 @@ def _resolve_extension(sub: FinAbGroup, quotient: FinAbGroup) -> FinAbGroup | No
     return None
 
 
-def corner_les(theory: CoefficientTheory, n_min: int, n_max: int) -> list:
+def corner_les(theory: dict, n_min: int, n_max: int) -> list:
     """Resolve the long exact sequence of the corner-skew triangle.
+
+    `theory` maps each degree to its DegreeData; it must hold every
+    degree from n_min - 1 to n_max, and a missing one raises KeyError.
 
     Ambiguous extensions are reported with `resolved` unset rather than
     guessed; only order-forced cases are filled in.  Each distinct
@@ -237,26 +195,23 @@ def corner_les(theory: CoefficientTheory, n_min: int, n_max: int) -> list:
 
     out = []
     for n in range(n_min, n_max + 1):
-        sub = kernel_cokernel_of(theory.data_at(n))[1]
-        quotient = kernel_cokernel_of(theory.data_at(n - 1))[0]
+        sub = kernel_cokernel_of(theory[n])[1]
+        quotient = kernel_cokernel_of(theory[n - 1])[0]
         out.append(LesEntry(degree=n, sub=sub, quotient=quotient,
                             resolved=_resolve_extension(sub, quotient)))
     return out
 
 
 def suslin_coefficients(modulus: Modulus, phi_even: IntMatrix,
-                        n_min: int, n_max: int) -> CoefficientTheory:
+                        n_min: int, n_max: int) -> dict:
     """Cyclic coefficients of an algebraically closed field: Z/m in even
-    nonnegative degrees, zero elsewhere, with the given even-degree map."""
+    nonnegative degrees, zero elsewhere, with the given even-degree map.
+    Returns {degree: DegreeData} for n_min - 1..n_max."""
     _check_window(n_min, n_max)
-    zero_data = DegreeData(phi=IntMatrix([]), modulus=modulus)
-    degrees = []
-    for n in range(n_min - 1, n_max + 1):
-        if n >= 0 and n % 2 == 0:
-            degrees.append((n, DegreeData(phi=phi_even, modulus=modulus)))
-        else:
-            degrees.append((n, zero_data))
-    return CoefficientTheory(degrees=tuple(degrees))
+    even = DegreeData(phi=phi_even, modulus=modulus)
+    zero = DegreeData(phi=IntMatrix([]), modulus=modulus)
+    return {n: even if n >= 0 and n % 2 == 0 else zero
+            for n in range(n_min - 1, n_max + 1)}
 
 
 def les_table_for_quiver(q: OrderedQuiver, modulus: Modulus,
@@ -440,18 +395,13 @@ def moore_splitting_check(n: int, modulus: Modulus,
 
 
 __all__ = [
-    "COKERNEL",
-    "CoefficientTheory",
     "DEFAULT_WINDOW",
     "DegreeData",
     "DivisibilityEntry",
     "DivisibilityReport",
-    "KEntry",
-    "KERNEL",
     "KGroupTable",
     "LesEntry",
     "SplitCheckResult",
-    "ZERO_NEGATIVE",
     "corner_les",
     "divisibility_report",
     "leavitt_matrix",

@@ -81,13 +81,13 @@ def test_criterion_2_leavitt_family():
         for m in (2, 3, 4, 5, 8, 9, 16, 25):
             mod = Modulus.of(m)
             one = mod_l_ktheory(rose(1), mod)
-            for deg, entry in one.entries:
-                assert entry.group == (G(m) if deg >= 0 else G())
+            for deg in one.degrees():
+                assert one.group_at(deg) == (G(m) if deg >= 0 else G())
             two = mod_l_ktheory(rose(2), mod)
-            assert all(e.group.is_trivial for _, e in two.entries)
+            assert all(two.group_at(deg).is_trivial for deg in two.degrees())
             moore = mod_l_ktheory(rose(m + 1), mod)
-            for deg, entry in moore.entries:
-                assert entry.group == (G(m) if deg >= 0 else G())
+            for deg in moore.degrees():
+                assert moore.group_at(deg) == (G(m) if deg >= 0 else G())
 
     _report(2, "Leavitt family: 1 petal Z/m, 2 petals 0, "
                "l^nu+1 petals Z/l^nu", run)

@@ -262,10 +262,10 @@ class TestShortestLeadPivots:
             alg, labels, [lead] + rest)) == len(monomials)
 
     @pytest.mark.parametrize("name", DATA_QUIVERS)
-    def test_collision_with_a_kept_source_monomial(self, name):
+    def test_collision_reduces_against_the_pivot_row(self, name):
         """The non-normal monomials of stage 2, the first one twice.  The
-        first copy's pivot keeps only that monomial, so the second copy
-        must be reduced against its whole normal form, rewritten again."""
+        second copy's lead collides with the first copy's pivot and its
+        row reduces to zero against the first copy's row."""
         alg, _, _, _, sources = _stage_two(name)
         assert sources
         assert call_within(5, lambda: filtration._span_rank(
@@ -454,6 +454,26 @@ class TestTransitionMatrices:
             for n in range(3):
                 assert inclusion_k0_matrix(q, n) == expected_inclusion_matrix(q, n)
                 assert phi_k0_matrix(q, n) == expected_phi_matrix(q, n)
+
+    def test_failed_splitting_raises(self, monkeypatch):
+        """Without junction rewrites s.s* no longer equals the sum of its
+        one-arrow extensions, and the engine check says so."""
+        class NoJunctions(LeavittAlgebra):
+            def __init__(self, q):
+                super().__init__(q)
+                self._junction = {}
+
+        monkeypatch.setattr(filtration, "LeavittAlgebra", NoJunctions)
+        with pytest.raises(AssertionError,
+                           match="idempotent splitting failed symbolically"):
+            inclusion_k0_matrix(DATA_QUIVERS["rose2.q"], 1)
+
+    def test_wrong_corner_image_raises(self, monkeypatch):
+        """An endomorphism that fixes u disagrees with the predicted
+        image (a s)(a s)*, and the engine check says so."""
+        monkeypatch.setattr(filtration, "corner_phi", lambda a, corner: a)
+        with pytest.raises(AssertionError, match="corner endomorphism mismatch"):
+            phi_k0_matrix(DATA_QUIVERS["rose2.q"], 1)
 
 
 class TestStabilizedDifference:

@@ -9,8 +9,7 @@ from leavittk.groups import (FinAbGroup, Modulus, SizeLimitError,
                              _pivot_phase as pivot_phase,
                              brute_force_mod_oracle, kernel_cokernel_mod)
 from leavittk.matrices import IntMatrix, smith_normal_form
-from leavittk.ktheory import (COKERNEL, CoefficientTheory, DegreeData, KERNEL,
-                              ZERO_NEGATIVE, corner_les, divisibility_report,
+from leavittk.ktheory import (DegreeData, corner_les, divisibility_report,
                               leavitt_matrix, les_table_for_quiver,
                               mod_l_ktheory, moore_splitting_check,
                               suslin_coefficients, uct_order_check)
@@ -58,39 +57,31 @@ class TestLeavittMatrix:
 class TestModLTables:
     def test_rose_two_petals_everything_vanishes(self):
         table = mod_l_ktheory(rose(2), Modulus.of(8), -2, 5)
-        assert all(e.group.is_trivial for _, e in table.entries)
+        assert all(table.group_at(n).is_trivial for n in table.degrees())
 
     def test_rose_one_petal_laurent(self):
         table = mod_l_ktheory(rose(1), Modulus.of(9))
-        for n, entry in table.entries:
+        for n in table.degrees():
             if n < 0:
-                assert entry.group.is_trivial
-                assert entry.provenance == ZERO_NEGATIVE
+                assert table.group_at(n).is_trivial
             else:
-                assert entry.group == G(9)
+                assert table.group_at(n) == G(9)
 
     def test_rose_moore_modulus(self):
         for lnu in (4, 9, 5, 8):
             table = mod_l_ktheory(rose(lnu + 1), Modulus.of(lnu))
-            for n, entry in table.entries:
-                assert entry.group == (G(lnu) if n >= 0 else G())
+            for n in table.degrees():
+                assert table.group_at(n) == (G(lnu) if n >= 0 else G())
 
     def test_jacobson_collapse(self):
         table = mod_l_ktheory(jacobson_quiver(2), Modulus.of(5))
-        for n, entry in table.entries:
+        for n in table.degrees():
             if n < 0:
-                assert entry.group.is_trivial
+                assert table.group_at(n).is_trivial
             elif n % 2 == 0:
-                assert entry.group == G(5)
+                assert table.group_at(n) == G(5)
             else:
-                assert entry.group.is_trivial
-
-    def test_provenance_labels(self):
-        table = mod_l_ktheory(toeplitz_quiver(), Modulus.of(3), -1, 2)
-        assert table.provenance_at(-1) == ZERO_NEGATIVE
-        assert table.provenance_at(0) == COKERNEL
-        assert table.provenance_at(1) == KERNEL
-        assert table.provenance_at(2) == COKERNEL
+                assert table.group_at(n).is_trivial
 
     def test_lookups_outside_window_raise(self):
         table = mod_l_ktheory(rose(1), Modulus.of(3), -1, 2)
@@ -98,8 +89,6 @@ class TestModLTables:
         for n in (-2, 3):
             with pytest.raises(KeyError):
                 table.group_at(n)
-            with pytest.raises(KeyError):
-                table.provenance_at(n)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -115,8 +104,10 @@ class TestModLTables:
         for _ in range(25):
             q = random_no_source_quiver(rng, max_vertices=4, max_arrows=7)
             table = mod_l_ktheory(q, Modulus.of(rng.choice([2, 3, 4, 5, 8, 9])))
-            evens = {e.group for n, e in table.entries if n >= 0 and n % 2 == 0}
-            odds = {e.group for n, e in table.entries if n >= 0 and n % 2 == 1}
+            evens = {table.group_at(n) for n in table.degrees()
+                     if n >= 0 and n % 2 == 0}
+            odds = {table.group_at(n) for n in table.degrees()
+                    if n >= 0 and n % 2 == 1}
             assert len(evens) == 1 and len(odds) == 1
 
     def test_relabeling_invariance(self):
@@ -163,7 +154,7 @@ class TestModLTables:
 class TestCornerLes:
     def _theory(self, phi_entry, modulus=None):
         data = DegreeData(phi=IntMatrix([[phi_entry]]), modulus=modulus)
-        return CoefficientTheory(degrees=tuple((n, data) for n in range(-1, 4)))
+        return {n: data for n in range(-1, 4)}
 
     def test_unimodular_map_kills_everything(self):
         entries = corner_les(self._theory(2), 0, 3)
@@ -189,7 +180,7 @@ class TestCornerLes:
     def test_coprime_cyclic_resolution(self):
         data0 = DegreeData(phi=IntMatrix([[3]]), modulus=Modulus.of(2))
         data1 = DegreeData(phi=IntMatrix([[4]]), modulus=Modulus.of(3))
-        theory = CoefficientTheory(degrees=((0, data0), (1, data1)))
+        theory = {0: data0, 1: data1}
         entry = corner_les(theory, 1, 1)[0]
         # sub = coker(1-4 mod 3) = Z/3, quotient = ker(1-3 mod 2) = Z/2
         assert entry.sub == G(3)
@@ -198,10 +189,9 @@ class TestCornerLes:
 
     def test_periodic_lookup(self):
         data = DegreeData(phi=IntMatrix([[2]]), modulus=Modulus.of(4))
-        theory = CoefficientTheory(degrees=((0, data),))
-        assert theory.data_at(0) is data
-        with pytest.raises(KeyError, match="no coefficient data for degree 5"):
-            theory.data_at(5)
+        # window 0..1 reads degree -1, which the data does not hold
+        with pytest.raises(KeyError):
+            corner_les({0: data}, 0, 1)
 
     def test_widest_window_runs(self):
         entries = call_within(2, lambda: les_table_for_quiver(
@@ -516,8 +506,7 @@ class TestOneReductionPerMatrix:
 
     def test_corner_les_integral_data(self, mod_calls, snf_calls):
         data = DegreeData(phi=IntMatrix([[3]]))
-        theory = CoefficientTheory(degrees=tuple((n, data)
-                                                 for n in range(-1, 6)))
+        theory = {n: data for n in range(-1, 6)}
         entries = corner_les(theory, 0, 5)
         assert len(snf_calls) == 1 and mod_calls == []
         assert all(e.sub == G(2) and e.quotient.is_trivial for e in entries)
