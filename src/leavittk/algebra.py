@@ -16,10 +16,15 @@ that are final, so normalization terminates; the choice of special
 arrow (smallest arrow id at each non-sink) only fixes which basis of
 the same algebra we use.
 
-Coefficients are exact rationals: an int while integral, else a
-Fraction.  `LeavittAlgebra.coerce` is the one place that decides this;
-it is applied where scalars enter, and the engine otherwise computes
-with plain + * -.  No float appears.
+Coefficients are exact rationals, stored fraction-free: an Element
+holds an int numerator per monomial over one positive denominator, in
+lowest terms (the gcd of the denominator and every numerator is 1, and
+zero has denominator 1).  Sums, products, negation, the involution and
+degree splitting run on ints alone, with one gcd reduction per result
+whose denominator is not 1.  Scalars enter through
+`LeavittAlgebra.coerce` (an int while integral, else a Fraction), and
+`coefficient()`/`terms()` convert back the same way, so an integral
+coefficient is always an int.  No float appears.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .groups import SizeLimitError
@@ -175,6 +181,10 @@ class LeavittAlgebra:
                 mon = _new(Monomial, (_new(Path, (left.source, v, la)),
                                       _new(Path, (right.source, v, ra))))
             done[mon] = done.get(mon, 0) + c
+        if len(terms) == 1 and terms[0][1]:
+            # One nonzero term cannot cancel: each strip step's summands
+            # have their own lengths, and the stripped monomial is shorter.
+            return done
         return {m: c for m, c in done.items() if c}
 
     # -- element constructors ---------------------------------------------
@@ -200,9 +210,13 @@ class LeavittAlgebra:
         return Element(self, {Monomial(p, self.empty_path(p.target)): 1})
 
     def element(self, terms) -> "Element":
-        """Element from (monomial, coefficient) pairs, normalized."""
-        return Element(self, self._normalize(
-            [(m, self.coerce(c)) for m, c in terms]))
+        """Element from (monomial, coefficient) pairs, normalized over
+        the coefficients' common denominator."""
+        pairs = [(m, self.coerce(c)) for m, c in terms]
+        den = lcm(*(c.denominator for _, c in pairs))
+        return _reduced(self, self._normalize(
+            [(m, c.numerator * (den // c.denominator)) for m, c in pairs]),
+            den)
 
     def render_monomial(self, mon: Monomial) -> str:
         if not mon.left.arrows and not mon.right.arrows:
@@ -216,21 +230,30 @@ class LeavittAlgebra:
 
 
 class Element:
-    """Immutable normal-form element of a Leavitt path algebra."""
+    """Immutable normal-form element of a Leavitt path algebra: int
+    numerators `_terms` over the denominator `_den`, in lowest terms."""
 
-    __slots__ = ("algebra", "_terms")
+    __slots__ = ("algebra", "_terms", "_den")
 
-    def __init__(self, algebra: LeavittAlgebra, terms: dict):
+    def __init__(self, algebra: LeavittAlgebra, terms: dict, den: int = 1):
         self.algebra = algebra
-        self._terms = dict(terms)
+        self._terms = terms
+        self._den = den
+
+    def _value(self, num: int):
+        """num / _den as a coefficient: an int while integral."""
+        q, r = divmod(num, self._den)
+        return Fraction(num, self._den) if r else q
 
     def terms(self):
         """Sorted (monomial, coefficient) pairs."""
-        return tuple(sorted(self._terms.items(), key=lambda t: _sort_key(t[0])))
+        value = self._value
+        return tuple(sorted(((m, value(c)) for m, c in self._terms.items()),
+                            key=lambda t: _sort_key(t[0])))
 
     def coefficient(self, mon: Monomial):
-        """An int or a Fraction; Fraction(k) == k either way."""
-        return self._terms.get(mon, 0)
+        """An int while integral, else a Fraction."""
+        return self._value(self._terms.get(mon, 0))
 
     @property
     def is_zero(self) -> bool:
@@ -242,17 +265,24 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._check_partner(other)
-        out = dict(self._terms)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            out, f2, den = dict(self._terms), 1, d1
+        else:
+            g = gcd(d1, d2)
+            f1, f2 = d2 // g, d1 // g
+            out, den = {m: c * f1 for m, c in self._terms.items()}, d1 * f1
         for m, c in other._terms.items():
-            s = out.get(m, 0) + c
+            s = out.get(m, 0) + c * f2
             if not s:
                 out.pop(m, None)
             else:
                 out[m] = s
-        return Element(self.algebra, out)
+        return _reduced(self.algebra, out, den)
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, {m: -c for m, c in self._terms.items()})
+        return Element(self.algebra, {m: -c for m, c in self._terms.items()},
+                       self._den)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
@@ -263,7 +293,9 @@ class Element:
             c = alg.coerce(other)
             if not c:
                 return alg.zero()
-            return Element(alg, {m: x * c for m, x in self._terms.items()})
+            k = c.numerator
+            return _reduced(alg, {m: x * k for m, x in self._terms.items()},
+                            self._den * c.denominator)
         self._check_partner(other)
         raw = []
         for m1, c1 in self._terms.items():
@@ -274,7 +306,7 @@ class Element:
             if len(raw) > _PRODUCT_LIMIT:
                 raise SizeLimitError(
                     f"product would exceed {_PRODUCT_LIMIT} terms")
-        return Element(alg, alg._normalize(raw))
+        return _reduced(alg, alg._normalize(raw), self._den * other._den)
 
     def __rmul__(self, scalar):
         return self * scalar
@@ -282,15 +314,17 @@ class Element:
     def star(self) -> "Element":
         """The involution sending s.t* to t.s* (coefficients are fixed)."""
         return Element(self.algebra,
-                       {Monomial(m.right, m.left): c for m, c in self._terms.items()})
+                       {Monomial(m.right, m.left): c
+                        for m, c in self._terms.items()}, self._den)
 
     def degree_components(self) -> dict:
         """Split into homogeneous parts keyed by degree."""
-        alg = self.algebra
+        alg, den = self.algebra, self._den
         split: dict = {}
         for m, c in self._terms.items():
             split.setdefault(m.degree, {})[m] = c
-        return {d: Element(alg, terms) for d, terms in sorted(split.items())}
+        return {d: _reduced(alg, terms, den)
+                for d, terms in sorted(split.items())}
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degs = {m.degree for m in self._terms}
@@ -302,13 +336,24 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         return self.algebra.quiver == other.algebra.quiver \
-            and self._terms == other._terms
+            and self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
         return hash((self.algebra.quiver, self.terms()))
 
     def __repr__(self) -> str:
         return f"<Element {render_element(self)}>"
+
+
+def _reduced(alg: LeavittAlgebra, terms: dict, den: int) -> Element:
+    """The element terms/den in lowest terms; den > 0, and terms holds
+    no zero numerator."""
+    if den != 1:
+        g = gcd(den, *terms.values())  # den itself for zero
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+            den //= g
+    return Element(alg, terms, den)
 
 
 def render_element(a: Element) -> str:
@@ -343,8 +388,12 @@ class CornerData:
 
     t_plus: Element
     t_minus: Element
-    e: Element
     designated: tuple  # ((vertex, arrow), ...) in vertex order
+
+    @property
+    def e(self) -> Element:
+        """The corner idempotent t+ t-, multiplied out on each read."""
+        return self.t_plus * self.t_minus
 
 
 def corner_data(alg: LeavittAlgebra) -> CornerData:
@@ -359,10 +408,9 @@ def corner_data(alg: LeavittAlgebra) -> CornerData:
     for _, arrow in designated:
         t_plus = t_plus + alg.arrow(arrow)
     t_minus = t_plus.star()
-    e = t_plus * t_minus
     if t_minus * t_plus != alg.one():
         raise AssertionError("t- t+ != 1; designated arrow table is broken")
-    return CornerData(t_plus=t_plus, t_minus=t_minus, e=e, designated=designated)
+    return CornerData(t_plus=t_plus, t_minus=t_minus, designated=designated)
 
 
 def corner_phi(a: Element, corner: CornerData) -> Element:
@@ -418,11 +466,12 @@ def verify_corner_axioms(alg: LeavittAlgebra, samples: int = 25,
     are tested on pseudo-random degree-0 elements.
     """
     corner = corner_data(alg)
+    e = corner.e
     rng = random.Random(seed)
     checks = [
         ("t_minus . t_plus == 1", corner.t_minus * corner.t_plus == alg.one()),
-        ("e is idempotent", corner.e * corner.e == corner.e),
-        ("phi(1) == e", corner_phi(alg.one(), corner) == corner.e),
+        ("e is idempotent", e * e == e),
+        ("phi(1) == e", corner_phi(alg.one(), corner) == e),
     ]
     for i in range(samples):
         a = random_degree_zero_element(alg, rng)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -484,11 +485,110 @@ class TestRationalRing:
         as_int, as_fraction = x * 2, x * Fraction(2, 3) * 3
         mon = next(iter(x.terms()))[0]
         assert type(as_int.coefficient(mon)) is int
-        assert type(as_fraction.coefficient(mon)) is Fraction
+        assert type(as_fraction.coefficient(mon)) is int
         assert as_int == as_fraction
         assert hash(as_int) == hash(as_fraction)
         assert render_element(as_int) == render_element(as_fraction) \
             == "2 a1"
+
+
+_SCALES = (1, -1, 2, Fraction(1, 6), Fraction(-5, 4), Fraction(9, 3),
+           Fraction(3, 7))
+
+
+def _fraction_raw_terms(alg, rng):
+    """Random raw (monomial, Fraction) terms, with 0 and integral
+    fractions among the coefficients."""
+    return [(mon, Fraction(c) * rng.choice(_SCALES))
+            for mon, c in _chain_terms(alg, rng)]
+
+
+def _reference(alg, raw) -> dict:
+    """Normal form of raw Fraction terms, computed on Fraction dicts."""
+    return alg._normalize(raw)
+
+
+def _nonzero(terms: dict) -> dict:
+    return {m: c for m, c in terms.items() if c}
+
+
+def _ref_add(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for m, c in g.items():
+        out[m] = out.get(m, 0) + c
+    return _nonzero(out)
+
+
+def _ref_mul(alg, f: dict, g: dict) -> dict:
+    raw = [(prod, c1 * c2) for m1, c1 in f.items() for m2, c2 in g.items()
+           if (prod := alg._mul_monomials(m1, m2)) is not None]
+    return alg._normalize(raw)
+
+
+def _agrees(element, ref: dict):
+    """element's coefficients are ref's, an int exactly when integral,
+    and its numerators and denominator are in lowest terms."""
+    got = dict(element.terms())
+    assert got == ref
+    for c in got.values():
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+    den, nums = element._den, list(element._terms.values())
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in nums)
+    assert gcd(den, *nums) == 1
+    if element.is_zero:
+        assert den == 1
+
+
+class TestFractionFreeAgainstFractions:
+    """Int numerators over one denominator give, coefficient by
+    coefficient, what the same operations give on Fraction dicts."""
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_QUIVERS))
+    def test_operations_match_fraction_dicts(self, name):
+        alg = LeavittAlgebra(ENGINE_QUIVERS[name])
+        rng = random.Random(24)
+        for _ in range(40):
+            raw_a = _fraction_raw_terms(alg, rng)
+            raw_b = _fraction_raw_terms(alg, rng)
+            a, b = alg.element(raw_a), alg.element(raw_b)
+            fa, fb = _reference(alg, raw_a), _reference(alg, raw_b)
+            _agrees(a, fa)
+            _agrees(b, fb)
+            _agrees(a + b, _ref_add(fa, fb))
+            _agrees(a - b, _ref_add(fa, {m: -c for m, c in fb.items()}))
+            _agrees(-a, {m: -c for m, c in fa.items()})
+            _agrees(a * b, _ref_mul(alg, fa, fb))
+            for k in (0, 3, -2, Fraction(2, 3), Fraction(-7, 2),
+                      Fraction(4, 2)):
+                _agrees(a * k, _nonzero({m: c * k for m, c in fa.items()}))
+                _agrees(k * a, _nonzero({m: c * k for m, c in fa.items()}))
+            _agrees(a.star(), {Monomial(m.right, m.left): c
+                               for m, c in fa.items()})
+            parts = a.degree_components()
+            assert sorted(parts) == sorted({m.degree for m in fa})
+            for d, part in parts.items():
+                _agrees(part, {m: c for m, c in fa.items() if m.degree == d})
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_QUIVERS))
+    def test_routes_to_one_value_compare_and_hash_alike(self, name):
+        alg = LeavittAlgebra(ENGINE_QUIVERS[name])
+        rng = random.Random(25)
+        for _ in range(30):
+            a = alg.element(_fraction_raw_terms(alg, rng))
+            b = alg.element(_fraction_raw_terms(alg, rng))
+            c = alg.element(_fraction_raw_terms(alg, rng))
+            for x, y in (((a + b) * c, a * c + b * c),
+                         (a * Fraction(2, 3) * Fraction(3, 2), a),
+                         (a * Fraction(6, 2), a * 3),
+                         (a - a + b, b),
+                         ((a * b).star(), b.star() * a.star()),
+                         (alg.element(dict(a.terms()).items()), a),
+                         (sum(a.degree_components().values(), alg.zero()),
+                          a)):
+                assert x == y
+                assert hash(x) == hash(y)
+                assert x._den == y._den and x._terms == y._terms
 
 
 class TestElementSyntax:
