@@ -16,8 +16,7 @@ from .groups import (FinAbGroup, Modulus, SizeLimitError,
 from .ktheory import (DegreeData, DivisibilityReport, KGroupTable, LesEntry,
                       SplitCheckResult, corner_les, divisibility_report,
                       leavitt_matrix, les_table_for_quiver, mod_l_ktheory,
-                      moore_splitting_check, rose_quiver, suslin_coefficients,
-                      uct_order_check)
+                      moore_splitting_check, rose_quiver, suslin_coefficients)
 from .matrices import IntMatrix, SmithDecomposition, smith_normal_form
 from .quiver import (Arrow, OrderedQuiver, Quiver, QuiverParseError,
                      SourcesPresentError, as_ordered, incidence_matrix,

@@ -326,11 +326,8 @@ class Element:
         return {d: _reduced(alg, terms, den)
                 for d, terms in sorted(split.items())}
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = {m.degree for m in self._terms}
-        if degree is None:
-            return len(degs) <= 1
-        return degs <= {degree}
+    def is_homogeneous(self, degree: int) -> bool:
+        return {m.degree for m in self._terms} <= {degree}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):

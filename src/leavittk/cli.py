@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 from .algebra import LeavittAlgebra, render_element
 from .element_syntax import ElementSyntaxError, parse_element
@@ -152,9 +151,7 @@ def _window(args) -> tuple:
 def _cmd_kmod(args) -> list:
     q = _load_quiver(args.quiver)
     modulus = _parse_modulus(args.mod)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        table = mod_l_ktheory(q, modulus, *_window(args))
+    table = mod_l_ktheory(q, modulus, *_window(args))
     m = modulus.m
     rows = [("hypothesis", f"algebraically closed k, char(k) coprime to {m}",
              f"# hypothesis: base field k algebraically closed, "

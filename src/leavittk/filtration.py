@@ -21,7 +21,6 @@ counting formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import LeavittAlgebra, Monomial, _new, _paths_by_target, \
     _sort_key, corner_data, corner_phi
@@ -177,7 +176,10 @@ def _span_rank(alg: LeavittAlgebra, labels, monomials) -> int:
     special arrows fix the stripped chain, so no two rows share it.
     Every lead is then new and the elimination is triangular: no row is
     reduced.  A lead that does collide (on a repeated or dependent
-    input) is still reduced against its pivot's row.
+    input) is still reduced against its pivot's row, as a.row - b.pivot
+    with a the pivot's lead coefficient and b the row's.  That scales the
+    row by a nonzero integer, which leaves the rank over Q alone and
+    every row integral.
     """
     implicit: dict = {}  # length m -> endpoints w of the labels (m, w)
     for m, w in labels:
@@ -187,15 +189,15 @@ def _span_rank(alg: LeavittAlgebra, labels, monomials) -> int:
         row = alg._normalize([(mon, 1)], implicit)
         while row:
             lead = min(row, key=_sort_key) if len(row) > 1 else next(iter(row))
-            if lead not in pivots:
-                if row[lead] != 1:
-                    inv = alg.coerce(Fraction(1, row[lead]))
-                    row = {k: c * inv for k, c in row.items()}
+            pivot = pivots.get(lead)
+            if pivot is None:
                 pivots[lead] = row
                 break
-            factor = -row[lead]
-            for k, c in pivots[lead].items():
-                s = row.get(k, 0) + factor * c
+            a, b = pivot[lead], row[lead]
+            if a != 1:
+                row = {k: a * c for k, c in row.items()}
+            for k, c in pivot.items():
+                s = row.get(k, 0) - b * c
                 if not s:
                     row.pop(k, None)
                 else:

@@ -237,10 +237,6 @@ class FinAbGroup:
         orders = [m] * self.free_rank + [gcd(d, m) for d in self.torsion]
         return FinAbGroup.from_cyclic_orders(orders)
 
-    def torsion_killed_by(self, m: int) -> "FinAbGroup":
-        """The m-torsion subgroup {x : m.x = 0}."""
-        return FinAbGroup.from_cyclic_orders([gcd(d, m) for d in self.torsion])
-
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
         return " (+) ".join(parts) if parts else "0"

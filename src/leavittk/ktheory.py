@@ -12,7 +12,6 @@ hypothesis next to every table.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -101,16 +100,12 @@ def mod_l_ktheory(q: OrderedQuiver, modulus: Modulus,
     Even nonnegative degrees read off the cokernel, odd ones the
     kernel, negative degrees vanish; both come from one unit-pivot phase
     over Z/m, then a small residual elimination per prime power of m.
-    Composite moduli are accepted but flagged: the cyclic coefficient
-    input is only established for prime powers, so composite tables are
-    formal CRT extensions.  A window of more than 10^4 degrees raises
-    SizeLimitError.
+    Composite moduli are accepted: the cyclic coefficient input is only
+    established for prime powers, so a table whose
+    `modulus.is_prime_power` is False is a formal CRT extension.  A
+    window of more than 10^4 degrees raises SizeLimitError.
     """
     _check_window(n_min, n_max)
-    if not modulus.is_prime_power:
-        warnings.warn(
-            f"modulus {modulus.m} is not a prime power; "
-            "table is a formal extension by CRT", stacklevel=2)
     kernel, cokernel = kernel_cokernel_mod(leavitt_matrix(q), modulus)
     return KGroupTable(modulus=modulus, even=cokernel, odd=kernel,
                        window=(n_min, n_max))
@@ -318,27 +313,6 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
                               entries=tuple(entries))
 
 
-# -- consistency checks ----------------------------------------------------
-
-
-def uct_order_check(kn: FinAbGroup, kn_minus_1: FinAbGroup, modulus: Modulus,
-                    middle: FinAbGroup) -> bool:
-    """Order/exponent consistency of a universal-coefficients extension.
-
-    The middle group must be finite of order |Kn (x) Z/m| * |m-torsion
-    of Kn-1| with exponent dividing the product of the two exponents.
-    This cannot distinguish the genuinely different extensions with the
-    same order profile, and does not try to.
-    """
-    a = kn.tensor_with_cyclic(modulus.m)
-    b = kn_minus_1.torsion_killed_by(modulus.m)
-    if not middle.is_finite:
-        return False
-    if middle.order() != a.order() * b.order():
-        return False
-    return a.exponent() * b.exponent() % middle.exponent() == 0
-
-
 @dataclass(frozen=True)
 class SplitCheckResult:
     n: int
@@ -380,11 +354,9 @@ def moore_splitting_check(n: int, modulus: Modulus,
                              f"got {n}")
     _check_window(n_min, n_max)
     factors = tuple(p ** e for p, e in factorize(n))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        left = mod_l_ktheory(rose_quiver(n + 1), modulus, n_min, n_max)
-        summands = [mod_l_ktheory(rose_quiver(f + 1), modulus, n_min, n_max)
-                    for f in factors]
+    left = mod_l_ktheory(rose_quiver(n + 1), modulus, n_min, n_max)
+    summands = [mod_l_ktheory(rose_quiver(f + 1), modulus, n_min, n_max)
+                for f in factors]
     even = odd = FinAbGroup.trivial()
     for table in summands:
         even, odd = even.direct_sum(table.even), odd.direct_sum(table.odd)
@@ -410,5 +382,4 @@ __all__ = [
     "moore_splitting_check",
     "rose_quiver",
     "suslin_coefficients",
-    "uct_order_check",
 ]

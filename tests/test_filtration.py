@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -247,9 +248,10 @@ class TestShortestLeadPivots:
         s'g(t'g)*: the rewrite summand with every common special-arrow
         suffix stripped.  That monomial's row reduces against s't'* to
         the terms that remain, whose lead has coefficient -1.  Where that
-        lead is no pivot yet, the row must be rescaled before it becomes
-        one: on jacobson2 and the roses of two and three petals (a rose of
-        one petal leaves no such term, and toeplitz's sink-level monomials
+        lead is no pivot yet, the row becomes one as it stands, lead -1,
+        and later rows that collide with it are scaled by -1: on
+        jacobson2 and the roses of two and three petals (a rose of one
+        petal leaves no such term, and toeplitz's sink-level monomials
         come first).  The set spans what stage 2 spans."""
         alg, labels, monomials, count, rest = _stage_two(name)
         mon = next(m for m in monomials if not alg._is_normal(m))
@@ -280,6 +282,60 @@ class TestShortestLeadPivots:
             alg, [], monomials + monomials)) == len(monomials)
         assert count + call_within(5, lambda: filtration._span_rank(
             alg, labels, monomials + monomials)) == len(monomials)
+
+
+def _fraction_rank(rows) -> int:
+    """Rank over Q of sparse rows, by Gaussian elimination on Fractions
+    with each row's longest term as its pivot column."""
+    pivots: dict = {}
+    for row in rows:
+        row = {k: Fraction(c) for k, c in row.items()}
+        while row:
+            col = max(row, key=_sort_key)
+            if col not in pivots:
+                pivots[col] = {k: c / row[col] for k, c in row.items()}
+                break
+            factor = row[col]
+            for k, c in pivots[col].items():
+                row[k] = row.get(k, 0) - factor * c
+                if not row[k]:
+                    del row[k]
+    return len(pivots)
+
+
+class TestSpanRankAgainstFractions:
+    """`_span_rank` against the rank over Q of the same normal-form rows,
+    on seeded lists of stage 0-3 spanning monomials with repeats and the
+    one-step rewrite summands of their non-normal members: leads collide,
+    and rows with lead -1 become pivots.  Each row scaled by a seeded
+    factor among `scales`, which leaves the rank alone, gives leads
+    other than 1 and -1."""
+
+    @pytest.mark.parametrize("scales", [(1,), (-3, -1, 2, 5)])
+    @pytest.mark.parametrize("name", sorted(ENGINE_QUIVERS))
+    def test_rank_matches(self, name, scales, monkeypatch):
+        rng = random.Random(sorted(ENGINE_QUIVERS).index(name))
+        alg = LeavittAlgebra(ENGINE_QUIVERS[name])
+        by_target = _paths_by_target(alg, 3, filtration._SPAN_LIMIT)
+        pool = [m for n in range(4) for m in _every_spanning_monomial(
+            filtration._block_labels(alg.quiver, n), by_target)]
+        normalize = LeavittAlgebra._normalize
+
+        def scaled_normalize(self, terms, implicit=None):
+            k = rng.choice(scales)
+            return {m: k * c for m, c in normalize(self, terms,
+                                                   implicit).items()}
+
+        monkeypatch.setattr(LeavittAlgebra, "_normalize", scaled_normalize)
+        for _ in range(20):
+            mons = rng.sample(pool, min(len(pool), 30))
+            mons += [m for mon in mons for _, m in ck_rewrite(alg, mon) or ()]
+            mons += rng.choices(mons, k=4)
+            rng.shuffle(mons)
+            want = _fraction_rank(normalize(alg, [(m, 1)]) for m in mons)
+            assert want < len(mons)
+            assert call_within(5, lambda: filtration._span_rank(
+                alg, [], mons)) == want, mons
 
 
 class TestBlockCounting:

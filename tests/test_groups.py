@@ -91,8 +91,6 @@ class TestFinAbGroup:
     def test_tensor_and_torsion(self):
         assert G(0).tensor_with_cyclic(4) == G(4)
         assert G(6).tensor_with_cyclic(4) == G(2)
-        assert G(6).torsion_killed_by(4) == G(2)
-        assert G(0).torsion_killed_by(4) == G()
 
 
 class TestModulus:

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -12,7 +13,7 @@ from leavittk.matrices import IntMatrix, smith_normal_form
 from leavittk.ktheory import (DegreeData, corner_les, divisibility_report,
                               leavitt_matrix, les_table_for_quiver,
                               mod_l_ktheory, moore_splitting_check,
-                              suslin_coefficients, uct_order_check)
+                              suslin_coefficients)
 from leavittk.quiver import OrderedQuiver, SourcesPresentError, \
     order_sinks_first, parse_quiver, reduced_incidence
 
@@ -94,10 +95,20 @@ class TestModLTables:
         with pytest.raises(ValueError):
             mod_l_ktheory(rose(2), Modulus.of(3), 2, 1)
 
-    def test_composite_modulus_warns(self):
-        with pytest.warns(UserWarning) as record:
-            mod_l_ktheory(rose(3), Modulus.of(6))
-        assert record[0].filename == __file__  # points at the caller
+    def test_composite_modulus_is_silent(self):
+        """A composite modulus warns nowhere, table, splitting check or
+        LES: its caveat is the table's `modulus.is_prime_power`."""
+        m = Modulus.of(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = mod_l_ktheory(rose(3), m)
+            split = moore_splitting_check(12, m)
+            entries = les_table_for_quiver(rose(3), m)
+        assert table.modulus.is_prime_power is False
+        assert (table.even, table.odd) == (G(2), G(2))
+        assert split.equal and split.factors == (4, 3)
+        assert (split.left.even, split.right.odd) == (G(6), G(6))
+        assert [e.resolved for e in entries if e.degree >= 0] == [G(2)] * 8
 
     def test_parity_periodicity(self):
         rng = random.Random(9)
@@ -241,32 +252,6 @@ class TestCornerLes:
         for e in entries:
             assert e.resolved is not None
             assert e.resolved == table.group_at(e.degree)
-
-
-class TestUctOrderCheck:
-    def test_free_by_torsion(self):
-        m = Modulus.of(2)
-        assert uct_order_check(G(0), G(2), m, G(4))
-        assert uct_order_check(G(0), G(2), m, G(2, 2))
-        assert not uct_order_check(G(0), G(2), m, G(2))
-
-    def test_trivial_case(self):
-        assert uct_order_check(G(), G(), Modulus.of(12), G())
-        assert not uct_order_check(G(), G(), Modulus.of(12), G(2))
-
-    def test_ambiguous_extensions_both_pass(self):
-        m = Modulus.of(3)
-        assert uct_order_check(G(3), G(3), m, G(9))
-        assert uct_order_check(G(3), G(3), m, G(3, 3))
-        assert not uct_order_check(G(3), G(3), m, G(27))
-
-    def test_infinite_middle_rejected(self):
-        assert not uct_order_check(G(0), G(), Modulus.of(2), G(0))
-
-    def test_exponent_bound(self):
-        # order matches but exponent exceeds the product bound
-        m = Modulus.of(2)
-        assert not uct_order_check(G(2, 2), G(), m, G(4))
 
 
 class TestMooreSplitting:
@@ -457,8 +442,7 @@ class TestOneReductionPerMatrix:
                   random_ladder_quiver(random.Random(5), 12, 3)):
             mod_calls.clear()
             phases.clear()
-            with pytest.warns(UserWarning):
-                mod_l_ktheory(q, Modulus.of(360))
+            mod_l_ktheory(q, Modulus.of(360))
             matrix = leavitt_matrix(q)
             assert mod_calls == [(matrix, 360)]
             (m, pk, rows_in, units), rest = phases[0], phases[1:]

@@ -3,6 +3,7 @@ cokernel torsion, on every instance small enough to walk (Z/m)^cols and
 (Z/m)^rows in full."""
 
 import random
+from math import gcd, prod
 
 import pytest
 
@@ -16,7 +17,8 @@ MODULI = (2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 25, 27, 36, 64, 72)
 
 
 def torsion_count(group, q: int) -> int:
-    return group.torsion_killed_by(q).order()
+    """Order of the q-torsion of a finite group: gcd(d, q) per Z/d."""
+    return prod(gcd(d, q) for d in group.torsion)
 
 
 def matches_definitions(matrix: IntMatrix, m: int):
