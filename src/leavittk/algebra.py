@@ -34,6 +34,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import NamedTuple
 
 from .groups import SizeLimitError
@@ -100,8 +101,11 @@ class LeavittAlgebra:
 
     @staticmethod
     def coerce(c):
-        """A scalar as a coefficient: an int while integral, else a Fraction."""
-        return int(c) if c == int(c) else Fraction(c)
+        """A scalar as a coefficient: an int while integral, else a
+        Fraction; anything else (a float, say) raises TypeError."""
+        if isinstance(c, Fraction):
+            return c.numerator if c.denominator == 1 else c
+        return index(c)
 
     # -- paths -----------------------------------------------------------
 
@@ -506,18 +510,3 @@ def _paths_by_target(alg: LeavittAlgebra, max_len: int, limit: int):
         levels.append({w: tuple(sorted(ps, key=lambda p: (p.arrows, p.source)))
                        for w, ps in nxt.items()})
     return levels
-
-
-__all__ = [
-    "CornerAxiomReport",
-    "CornerData",
-    "Element",
-    "LeavittAlgebra",
-    "Monomial",
-    "Path",
-    "corner_data",
-    "corner_phi",
-    "random_degree_zero_element",
-    "render_element",
-    "verify_corner_axioms",
-]

@@ -217,6 +217,3 @@ def parse_element(alg: LeavittAlgebra, text: str) -> Element:
     '1'
     """
     return _Parser(alg, text).parse()
-
-
-__all__ = ["ElementSyntaxError", "parse_element"]

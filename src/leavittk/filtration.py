@@ -349,16 +349,3 @@ def stabilized_block_difference(q: OrderedQuiver, n: int) -> IntMatrix:
     keep_cols = [i for i, b in enumerate(src.blocks) if not q.is_sink(b.vertex)]
     keep_rows = [i for i, b in enumerate(dst.blocks) if b.level == n + 1]
     return diff.permuted(keep_rows, keep_cols)
-
-
-__all__ = [
-    "Block",
-    "BlockProfile",
-    "block_profile",
-    "expected_inclusion_matrix",
-    "expected_phi_matrix",
-    "filtration_span_dim",
-    "inclusion_k0_matrix",
-    "phi_k0_matrix",
-    "stabilized_block_difference",
-]

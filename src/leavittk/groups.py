@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, prod
+from operator import index
 
 from .matrices import IntMatrix, SmithDecomposition, smith_normal_form
 
@@ -67,13 +68,14 @@ def factorize(n: int) -> tuple:
     Trial division below 10^6, which stops as soon as the cofactor left
     is proven prime by deterministic Miller-Rabin (below 3.3e24 only).
     A cofactor left that is not proven prime (so at least 10^12) raises
-    SizeLimitError.
+    SizeLimitError, and a float n raises TypeError.
 
     >>> factorize(360)
     ((2, 3), (3, 2), (5, 1))
     >>> factorize(2 * (10 ** 18 + 3))
     ((2, 1), (1000000000000000003, 1))
     """
+    n = index(n)
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     original = n
@@ -107,9 +109,10 @@ class Modulus:
 
     @classmethod
     def of(cls, m: int) -> "Modulus":
-        """The modulus m with its factorization; raises ValueError when
-        m < 2, and factorize's SizeLimitError (a ValueError) when m has
-        a cofactor of 1e12 or more that is not proven prime."""
+        """The modulus m with its factorization; raises TypeError when m is
+        not an int, ValueError when m < 2, and factorize's SizeLimitError
+        (a ValueError) for a cofactor of 1e12 or more not proven prime."""
+        m = index(m)
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
         return cls(m=m, factorization=factorize(m))
@@ -162,13 +165,13 @@ class FinAbGroup:
     def from_cyclic_orders(cls, orders) -> "FinAbGroup":
         """Normal form of a direct sum of cyclic groups.
 
-        Order 0 stands for Z and order 1 for the trivial summand.  Each
-        order merges into the chain from the top by Z/c (+) Z/d =
-        Z/lcm (+) Z/gcd (Cohen, GTM 138, 2.4), so nothing is factorized.
+        Order 0 stands for Z, order 1 for the trivial summand, and a float
+        raises TypeError.  Each order merges into the chain from the top by
+        Z/c (+) Z/d = Z/lcm (+) Z/gcd (Cohen, GTM 138, 2.4): no factoring.
         """
         rank, chain = 0, []
         for d in orders:
-            d = abs(int(d))
+            d = abs(index(d))
             if d == 0:
                 rank += 1
                 continue
@@ -506,19 +509,3 @@ def _classify_by_annihilator_counts(modulus: Modulus, count_killed) -> FinAbGrou
         parts[p] = [j for j in range(1, e + 1)
                     for _ in range(lam[j - 1] - lam[j])]
     return FinAbGroup.from_primary_parts(0, parts)
-
-
-__all__ = [
-    "FinAbGroup",
-    "Modulus",
-    "SizeLimitError",
-    "brute_force_mod_oracle",
-    "cokernel_int",
-    "cokernel_mod",
-    "factorize",
-    "kernel_cokernel",
-    "kernel_cokernel_mod",
-    "kernel_mod",
-    "kernel_rank_int",
-    "local_smith_exponents",
-]

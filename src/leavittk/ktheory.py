@@ -364,22 +364,3 @@ def moore_splitting_check(n: int, modulus: Modulus,
                         window=left.window)
     return SplitCheckResult(n=n, modulus=modulus, factors=factors, left=left,
                             right=right)
-
-
-__all__ = [
-    "DEFAULT_WINDOW",
-    "DegreeData",
-    "DivisibilityEntry",
-    "DivisibilityReport",
-    "KGroupTable",
-    "LesEntry",
-    "SplitCheckResult",
-    "corner_les",
-    "divisibility_report",
-    "leavitt_matrix",
-    "les_table_for_quiver",
-    "mod_l_ktheory",
-    "moore_splitting_check",
-    "rose_quiver",
-    "suslin_coefficients",
-]

@@ -315,10 +315,3 @@ def _xgcd(a: int, b: int):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-__all__ = [
-    "IntMatrix",
-    "SmithDecomposition",
-    "smith_normal_form",
-]

@@ -222,19 +222,3 @@ def reduced_incidence(q: OrderedQuiver) -> IntMatrix:
             raise AssertionError(
                 f"sink row {i} is nonzero; vertex ordering is inconsistent")
     return IntMatrix._of(tuple(map(full.row, range(q.num_sinks, q.v))), q.v)
-
-
-__all__ = [
-    "Arrow",
-    "OrderedQuiver",
-    "Quiver",
-    "QuiverParseError",
-    "SourcesPresentError",
-    "as_ordered",
-    "incidence_matrix",
-    "order_sinks_first",
-    "parse_quiver",
-    "reduced_incidence",
-    "render_quiver",
-    "require_no_sources",
-]

@@ -479,6 +479,21 @@ class TestRationalRing:
         c = l1_algebra().coerce(Fraction(1, 2))
         assert type(c) is Fraction and c == Fraction(1, 2)
 
+    def test_float_refused(self):
+        # a float is not rounded to a nearby rational: 0.1 would enter as
+        # 3602879701896397/36028797018963968
+        alg = l1_algebra()
+        x = alg.arrow("a1")
+        mon = next(iter(x.terms()))[0]
+        for c in (0.1, 2.0):
+            with pytest.raises(TypeError):
+                alg.coerce(c)
+            with pytest.raises(TypeError):
+                x * c
+            with pytest.raises(TypeError):
+                alg.element([(mon, c)])
+        assert type(alg.coerce(3)) is int and alg.coerce(-3) == -3
+
     def test_int_and_fraction_coefficients_agree(self):
         alg = l1_algebra()
         x = alg.arrow("a1")

@@ -434,6 +434,18 @@ class TestAlgebraCommand:
         assert "degree -1: y*" in out
         assert "degree 1: x" in out
 
+    @pytest.mark.parametrize("fmt, sum_lines, zero_lines", [
+        ("text", ["normal form: 5/6", "degree 0: 5/6"], ["normal form: 0"]),
+        ("records", ["normal_form=5/6", "degree_0=5/6"], ["normal_form=0"]),
+    ])
+    def test_sums_of_scalars_only(self, fmt, sum_lines, zero_lines):
+        # a sum whose terms are all scalars stays a Fraction until printed
+        for text, want in (("1/2 + 1/3", sum_lines), ("1 - 1", zero_lines)):
+            code, out, err = run_cli(["algebra", quiver_path("rose2.q"),
+                                      "--eval", text, "--format", fmt])
+            assert (code, err) == (0, "")
+            assert out.splitlines() == want
+
 
 class TestFiltrationCommand:
     def test_toeplitz_level_two(self):

@@ -108,6 +108,32 @@ class TestModulus:
         assert factorize(360) == ((2, 3), (3, 2), (5, 1))
 
 
+class TestFloatsRefused:
+    """Exact entry points raise TypeError on a float, as IntMatrix does,
+    instead of truncating it or failing later elsewhere."""
+
+    def test_modulus(self):
+        with pytest.raises(TypeError):
+            Modulus.of(12.0)
+        m = Modulus.of(12)
+        assert type(m.m) is int and m.factorization == ((2, 2), (3, 1))
+
+    def test_factorize(self):
+        for n in (360.0, 2.5):
+            with pytest.raises(TypeError):
+                factorize(n)
+
+    def test_from_cyclic_orders(self):
+        for orders in ([2.5], [4, 2.0], [0.0]):
+            with pytest.raises(TypeError):
+                FinAbGroup.from_cyclic_orders(orders)
+        with pytest.raises(TypeError):
+            FinAbGroup.cyclic(2.5)
+        with pytest.raises(TypeError):
+            G(4).tensor_with_cyclic(2.0)
+        assert G(-4, 0, 6) == FinAbGroup(free_rank=1, torsion=(2, 12))
+
+
 class TestFactorize:
     def test_stops_at_proven_prime_cofactor(self):
         assert factorize(BIG_PRIME) == ((BIG_PRIME, 1),)

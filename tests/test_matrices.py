@@ -1,12 +1,13 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import matrix_power
-from leavittk.matrices import IntMatrix, smith_normal_form
+from leavittk.matrices import IntMatrix, SmithDecomposition, smith_normal_form
 
 
 def test_shape_and_entries():
@@ -43,6 +44,9 @@ def test_determinant_fixtures():
     assert IntMatrix.identity(3).determinant() == 1
     assert IntMatrix([[-2]]).determinant() == -2
     assert IntMatrix([]).determinant() == 1
+    # zero pivot columns: no row below can be swapped up, so Bareiss stops
+    assert IntMatrix([[0, 1], [0, 2]]).determinant() == 0
+    assert IntMatrix([[1, 2, 3], [2, 4, 5], [0, 0, 1]]).determinant() == 0
 
 
 def test_determinant_matches_permanent_expansion():
@@ -54,6 +58,38 @@ def test_determinant_matches_permanent_expansion():
                   + e[0][2] * e[1][0] * e[2][1] - e[0][2] * e[1][1] * e[2][0]
                   - e[0][0] * e[1][2] * e[2][1] - e[0][1] * e[1][0] * e[2][2])
         assert IntMatrix(e).determinant() == sarrus
+
+
+def fraction_determinant(rows):
+    """Determinant by Gaussian elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def test_determinant_matches_fraction_elimination():
+    # small entries make many of these singular, with zero pivots on the way
+    rng = random.Random(26)
+    singular = 0
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        e = [[rng.choice((0, 1, -1, 2, 3)) for _ in range(n)]
+             for _ in range(n)]
+        det = IntMatrix(e).determinant()
+        assert det == fraction_determinant(e)
+        singular += det == 0
+    assert singular > 100
 
 
 def test_snf_basic_fixture():
@@ -74,6 +110,34 @@ def test_snf_identity_and_zero():
     assert dec.U == IntMatrix.identity(2)
     assert dec.V == IntMatrix.identity(3)
     assert dec.verify()
+
+
+def certificate(matrix, U, D, V=None):
+    n = len(matrix[0])
+    return SmithDecomposition(U=IntMatrix(U), D=IntMatrix(D),
+                              V=IntMatrix(V) if V else IntMatrix.identity(n),
+                              matrix=IntMatrix(matrix))
+
+
+def test_verify_rejects_each_broken_condition():
+    identity = [[1, 0], [0, 1]]
+    assert certificate([[1, 0], [0, 2]], identity, [[1, 0], [0, 2]]).verify()
+    broken = {
+        "U M V != D": certificate([[1, 0], [0, 2]], identity,
+                                  [[1, 0], [0, 4]]),
+        "U not unimodular": certificate([[1, 0], [0, 0]], [[1, 0], [0, 2]],
+                                        [[1, 0], [0, 0]]),
+        "V not unimodular": certificate([[1, 0], [0, 0]], identity,
+                                        [[1, 0], [0, 0]], [[1, 0], [0, 2]]),
+        "off-diagonal entry": certificate([[1, 1], [0, 1]], identity,
+                                          [[1, 1], [0, 1]]),
+        "negative diagonal": certificate([[-1]], [[1]], [[-1]]),
+        "zero before nonzero": certificate([[0, 0], [0, 1]], identity,
+                                           [[0, 0], [0, 1]]),
+        "broken divisibility": certificate([[2, 0], [0, 3]], identity,
+                                           [[2, 0], [0, 3]]),
+    }
+    assert [name for name, s in broken.items() if s.verify()] == []
 
 
 def test_snf_empty_shapes():
