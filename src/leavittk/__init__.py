@@ -18,9 +18,8 @@ from .ktheory import (DegreeData, DivisibilityReport, KGroupTable, LesEntry,
                       leavitt_matrix, les_table_for_quiver, mod_l_ktheory,
                       moore_splitting_check, rose_quiver, suslin_coefficients)
 from .matrices import IntMatrix, SmithDecomposition, smith_normal_form
-from .quiver import (Arrow, OrderedQuiver, Quiver, QuiverParseError,
-                     SourcesPresentError, as_ordered, incidence_matrix,
-                     order_sinks_first, parse_quiver, reduced_incidence,
-                     render_quiver, require_no_sources)
+from .quiver import (Arrow, Quiver, QuiverParseError, SourcesPresentError,
+                     incidence_matrix, order_sinks_first, parse_quiver,
+                     reduced_incidence, render_quiver, require_no_sources)
 
 __version__ = "0.1.0"

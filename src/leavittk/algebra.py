@@ -38,7 +38,7 @@ from operator import index
 from typing import NamedTuple
 
 from .groups import SizeLimitError
-from .quiver import OrderedQuiver, Quiver, require_no_sources
+from .quiver import Quiver, require_no_sources
 
 
 class Path(NamedTuple):
@@ -79,7 +79,7 @@ class LeavittAlgebra:
     can serve any number of concurrent computations.
     """
 
-    def __init__(self, quiver: "Quiver | OrderedQuiver"):
+    def __init__(self, quiver: Quiver):
         self.quiver = quiver
         self.vertices = tuple(quiver.vertices)
         self._src = {a.name: a.source for a in quiver.arrows}

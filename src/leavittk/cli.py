@@ -26,8 +26,7 @@ from .filtration import (_stage_report, expected_inclusion_matrix,
 from .groups import Modulus, SizeLimitError, _proven_prime
 from .ktheory import (DEFAULT_WINDOW, divisibility_report, mod_l_ktheory,
                       moore_splitting_check)
-from .quiver import (OrderedQuiver, SourcesPresentError, order_sinks_first,
-                     parse_quiver)
+from .quiver import Quiver, SourcesPresentError, parse_quiver
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -48,14 +47,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
-def _load_quiver(path: str) -> OrderedQuiver:
+def _load_quiver(path: str) -> Quiver:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
     try:
-        return order_sinks_first(parse_quiver(text))
+        return parse_quiver(text)
     except ValueError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}")
 

@@ -26,8 +26,7 @@ from .algebra import LeavittAlgebra, Monomial, _new, _paths_by_target, \
     _sort_key, corner_data, corner_phi
 from .groups import SizeLimitError
 from .matrices import IntMatrix
-from .quiver import OrderedQuiver, as_ordered, reduced_incidence, \
-    require_no_sources
+from .quiver import Quiver, reduced_incidence, require_no_sources
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class BlockProfile:
 _SPAN_LIMIT = 60000
 
 
-def _check_level(q: OrderedQuiver, n: int) -> None:
+def _check_level(q: Quiver, n: int) -> None:
     """Refuse level n before any per-level work.
 
     ValueError when n is negative.  SizeLimitError when the stage-n K0
@@ -80,14 +79,14 @@ def _check_level(q: OrderedQuiver, n: int) -> None:
                              f"{_SPAN_LIMIT} matrix cells or path arrows")
 
 
-def _block_labels(q: OrderedQuiver, n: int) -> list:
+def _block_labels(q: Quiver, n: int) -> list:
     """(level, vertex) labels of the stage-n blocks, sorted by level and
     vertex position: every level for a sink, level n for a non-sink."""
     return [(m, w) for m in range(n + 1) for j, w in enumerate(q.vertices)
             if j < q.v_prime or m == n]
 
 
-def _profiles(q: OrderedQuiver, *levels) -> list:
+def _profiles(q: Quiver, *levels) -> list:
     """The block profiles of the stages `levels`, after their checks, all
     read off one run of path counts.
 
@@ -112,20 +111,19 @@ def _profiles(q: OrderedQuiver, *levels) -> list:
         for m, w in _block_labels(q, n))) for n in levels]
 
 
-def block_profile(q: OrderedQuiver, n: int) -> BlockProfile:
+def block_profile(q: Quiver, n: int) -> BlockProfile:
     """Matrix-algebra block labels and sizes of stage n.
 
     The sizes come from a running vector of path counts;
     `path_count_matrix` in tests/helpers.py is the matrix-power
     reference for them.
 
-    >>> from .quiver import order_sinks_first, parse_quiver
-    >>> toep = order_sinks_first(parse_quiver(
-    ...     "vertices 1 2\\narrow a 1 1\\narrow b 1 2"))
+    >>> from .quiver import parse_quiver
+    >>> toep = parse_quiver("vertices 1 2\\narrow a 1 1\\narrow b 1 2")
     >>> [b.size for b in block_profile(toep, 2).blocks]
     [1, 1, 1, 1]
     """
-    return _profiles(as_ordered(q), n)[0]
+    return _profiles(q, n)[0]
 
 
 def _spanning_monomials(alg: LeavittAlgebra, labels, by_target) -> tuple:
@@ -213,7 +211,7 @@ def _span_dim(alg: LeavittAlgebra, n: int, by_target) -> int:
     return count + _span_rank(alg, labels, monomials)
 
 
-def filtration_span_dim(q: OrderedQuiver, n: int) -> int:
+def filtration_span_dim(q: Quiver, n: int) -> int:
     """Dimension of stage n, computed by reducing its spanning set.
 
     The normal spanning monomials belong to the normal-form basis, so
@@ -221,27 +219,19 @@ def filtration_span_dim(q: OrderedQuiver, n: int) -> int:
     normal form, and the rank its rational row adds is taken by sparse
     elimination, so this really measures the span and not the count.
     """
-    q = as_ordered(q)
     require_no_sources(q)
     _check_level(q, n)
     alg = LeavittAlgebra(q)
     return _span_dim(alg, n, _paths_by_target(alg, n, _SPAN_LIMIT))
 
 
-def _least_path(by_target, length: int, vertex: str):
-    paths = by_target[length].get(vertex, ())
-    if not paths:
-        raise AssertionError(
-            f"no length-{length} path into {vertex!r}; quiver has sources?")
-    return paths[0]
-
-
-def _stage(q: OrderedQuiver, n: int) -> tuple:
-    """What the stage-n transition matrices share: the ordered quiver,
-    one rational algebra, its path table up to length n, and the
-    stage-n and stage-(n+1) block profiles, read off one run of path
-    counts, whose level checks come before the algebra is built."""
-    q = as_ordered(q)
+def _stage(q: Quiver, n: int) -> tuple:
+    """What the stage-n transition matrices share: the quiver, one
+    rational algebra, its path table up to length n, and the stage-n and
+    stage-(n+1) block profiles, read off one run of path counts, whose
+    level checks come before the algebra is built.  `_profiles` refuses
+    sources first, so the table holds a path of every length into every
+    vertex."""
     src, dst = _profiles(q, n, n + 1)
     alg = LeavittAlgebra(q)
     return q, alg, _paths_by_target(alg, n, _SPAN_LIMIT), src, dst
@@ -251,7 +241,7 @@ def _inclusion(q, alg, by_target, src, dst) -> IntMatrix:
     n = src.level
     rows = [[0] * src.count for _ in range(dst.count)]
     for col, block in enumerate(src.blocks):
-        sigma = _least_path(by_target, block.level, block.vertex)
+        sigma = by_target[block.level][block.vertex][0]
         u = Monomial(sigma, sigma)
         if q.is_sink(block.vertex):
             rows[dst.index_of(block.level, block.vertex)][col] += 1
@@ -270,7 +260,7 @@ def _phi(q, alg, by_target, src, dst) -> IntMatrix:
     designated = dict(corner.designated)
     rows = [[0] * src.count for _ in range(dst.count)]
     for col, block in enumerate(src.blocks):
-        sigma = _least_path(by_target, block.level, block.vertex)
+        sigma = by_target[block.level][block.vertex][0]
         image = alg.path((designated[sigma.source],) + sigma.arrows)
         if corner_phi(alg.element([(Monomial(sigma, sigma), 1)]), corner) \
                 != alg.element([(Monomial(image, image), 1)]):
@@ -279,7 +269,7 @@ def _phi(q, alg, by_target, src, dst) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def inclusion_k0_matrix(q: OrderedQuiver, n: int) -> IntMatrix:
+def inclusion_k0_matrix(q: Quiver, n: int) -> IntMatrix:
     """Transition matrix of stage n inside stage n+1 on idempotent classes.
 
     Sink-block idempotents are carried along unchanged; the minimal
@@ -291,7 +281,7 @@ def inclusion_k0_matrix(q: OrderedQuiver, n: int) -> IntMatrix:
     return _inclusion(*_stage(q, n))
 
 
-def phi_k0_matrix(q: OrderedQuiver, n: int) -> IntMatrix:
+def phi_k0_matrix(q: Quiver, n: int) -> IntMatrix:
     """Effect of the corner endomorphism on stage-n idempotent classes.
 
     The image of a block's minimal idempotent u = s.s* is predicted as
@@ -303,7 +293,7 @@ def phi_k0_matrix(q: OrderedQuiver, n: int) -> IntMatrix:
     return _phi(*_stage(q, n))
 
 
-def _stage_report(q: OrderedQuiver, n: int) -> tuple:
+def _stage_report(q: Quiver, n: int) -> tuple:
     """(stage-n profile, span dimension, inclusion matrix, phi matrix) of
     one `filtration` request, built on one algebra, path table and profiles."""
     stage = _stage(q, n)
@@ -312,10 +302,9 @@ def _stage_report(q: OrderedQuiver, n: int) -> tuple:
             _phi(*stage))
 
 
-def expected_inclusion_matrix(q: OrderedQuiver, n: int) -> IntMatrix:
+def expected_inclusion_matrix(q: Quiver, n: int) -> IntMatrix:
     """The combinatorial block form: identity on sink levels, transposed
     reduced incidence on the top level."""
-    q = as_ordered(q)
     v, vp = q.v, q.v_prime
     src_count = (n + 1) * vp + (v - vp)
     dst_count = (n + 2) * vp + (v - vp)
@@ -329,15 +318,14 @@ def expected_inclusion_matrix(q: OrderedQuiver, n: int) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def expected_phi_matrix(q: OrderedQuiver, n: int) -> IntMatrix:
+def expected_phi_matrix(q: Quiver, n: int) -> IntMatrix:
     """The combinatorial block form: zero rows on the fresh sink level,
     identity shifted one level up."""
-    q = as_ordered(q)
     src_count = (n + 1) * q.v_prime + (q.v - q.v_prime)
     return IntMatrix.identity_below_zero(src_count + q.v_prime, src_count)
 
 
-def stabilized_block_difference(q: OrderedQuiver, n: int) -> IntMatrix:
+def stabilized_block_difference(q: Quiver, n: int) -> IntMatrix:
     """phi minus inclusion, with all sink-level labels deleted.
 
     What remains is supported on the top-level labels and must equal

@@ -138,10 +138,10 @@ class FinAbGroup:
     free_rank: int
     torsion: tuple = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __post_init__(self):  # index: a float raises TypeError
+        if index(self.free_rank) < 0:
             raise ValueError("negative free rank")
-        for d in self.torsion:
+        for d in map(index, self.torsion):
             if d < 2:
                 raise ValueError(f"torsion order {d} not allowed in normal form")
         for a, b in zip(self.torsion, self.torsion[1:]):

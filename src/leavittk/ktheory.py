@@ -18,13 +18,12 @@ from math import gcd, prod
 from .groups import FinAbGroup, Modulus, SizeLimitError, _proven_prime, \
     factorize, kernel_cokernel, kernel_cokernel_mod
 from .matrices import IntMatrix, smith_normal_form
-from .quiver import OrderedQuiver, Quiver, as_ordered, order_sinks_first, \
-    reduced_incidence, require_no_sources
+from .quiver import Quiver, reduced_incidence, require_no_sources
 
 DEFAULT_WINDOW = (-2, 7)
 
 
-def leavitt_matrix(q: OrderedQuiver) -> IntMatrix:
+def leavitt_matrix(q: Quiver) -> IntMatrix:
     """Zero-over-identity block minus the transposed reduced incidence.
 
     Shape v x (v - v'); the first v' rows (the sinks) carry no identity
@@ -33,12 +32,10 @@ def leavitt_matrix(q: OrderedQuiver) -> IntMatrix:
     of its target.
 
     >>> from .quiver import parse_quiver
-    >>> jac = order_sinks_first(parse_quiver(
-    ...     "vertices 1 2\\narrow a 1 1\\narrow b 1 2"))
+    >>> jac = parse_quiver("vertices 1 2\\narrow a 1 1\\narrow b 1 2")
     >>> leavitt_matrix(jac).tolists()
     [[-1], [0]]
     """
-    q = as_ordered(q)
     require_no_sources(q)
     sinks = q.num_sinks
     cols = q.v - sinks
@@ -47,12 +44,7 @@ def leavitt_matrix(q: OrderedQuiver) -> IntMatrix:
     for j in range(cols):
         rows[sinks + j][j] = 1
     for a in q.arrows:
-        j = index[a.source] - sinks
-        if j < 0:
-            raise AssertionError(
-                f"sink row {j + sinks} is nonzero; vertex ordering is "
-                "inconsistent")
-        rows[index[a.target]][j] -= 1
+        rows[index[a.target]][index[a.source] - sinks] -= 1
     return IntMatrix._of(tuple(map(tuple, rows)), cols)
 
 
@@ -92,7 +84,7 @@ def _check_window(n_min: int, n_max: int):
                              f"degrees, got {n_max - n_min + 1}")
 
 
-def mod_l_ktheory(q: OrderedQuiver, modulus: Modulus,
+def mod_l_ktheory(q: Quiver, modulus: Modulus,
                   n_min: int = DEFAULT_WINDOW[0],
                   n_max: int = DEFAULT_WINDOW[1]) -> KGroupTable:
     """Degree-indexed table of mod-m K-groups of the path algebra.
@@ -209,11 +201,10 @@ def suslin_coefficients(modulus: Modulus, phi_even: IntMatrix,
             for n in range(n_min - 1, n_max + 1)}
 
 
-def les_table_for_quiver(q: OrderedQuiver, modulus: Modulus,
+def les_table_for_quiver(q: Quiver, modulus: Modulus,
                          n_min: int = DEFAULT_WINDOW[0],
                          n_max: int = DEFAULT_WINDOW[1]) -> list:
     """Corner LES entries with the quiver's own stabilized map data."""
-    q = as_ordered(q)
     require_no_sources(q)
     it = reduced_incidence(q).transpose()
     theory = suslin_coefficients(modulus, it, n_min, n_max)
@@ -246,7 +237,7 @@ class DivisibilityReport:
 _POWER_BOUND = 10 ** 4300
 
 
-def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
+def divisibility_report(q: Quiver, primes) -> DivisibilityReport:
     """Vanishing/divisibility conclusions for each requested prime power.
 
     A table that vanishes in degrees 0..2 vanishes in every nonnegative
@@ -263,7 +254,6 @@ def divisibility_report(q: OrderedQuiver, primes) -> DivisibilityReport:
     A sink-free |det| is factored before any elimination, so one that
     factorize cannot finish raises SizeLimitError at no elimination cost.
     """
-    q = as_ordered(q)
     primes = list(primes)
     top: dict = {}  # prime -> largest requested exponent
     for l, nu in primes:
@@ -331,10 +321,10 @@ class SplitCheckResult:
                    for n in range(first, min(hi, first + 1) + 1))
 
 
-def rose_quiver(petals: int) -> OrderedQuiver:
+def rose_quiver(petals: int) -> Quiver:
     """One vertex with the given number of loops."""
     arrows = [(f"a{i}", "w", "w") for i in range(1, petals + 1)]
-    return order_sinks_first(Quiver.build(("w",), arrows))
+    return Quiver.build(("w",), arrows)
 
 
 _SPLIT_BOUND = 10 ** 5

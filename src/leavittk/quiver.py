@@ -1,13 +1,15 @@
 """Finite quivers: parsing, sink-first vertex ordering, incidence data.
 
 A quiver is a finite directed multigraph.  Vertex and arrow identifiers
-are opaque strings; declaration order is preserved because downstream
-matrix fixtures depend on it.
+are opaque strings.  Vertices are stored sinks-first, and declaration
+order holds within the sinks and within the rest, because the K-theory
+matrix needs the sinks in front and downstream fixtures depend on the
+order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
@@ -31,8 +33,17 @@ class QuiverParseError(ValueError):
 
 @dataclass(frozen=True)
 class Quiver:
+    """A validated quiver whose vertex tuple is stably partitioned
+    sinks-first: the `num_sinks` vertices with no outgoing arrow, then
+    the rest, each group in declaration order.
+
+    >>> Quiver.build(("1", "2"), [("a", "1", "1"), ("b", "1", "2")]).vertices
+    ('2', '1')
+    """
+
     vertices: tuple
     arrows: tuple
+    num_sinks: int = field(init=False)
 
     def __post_init__(self):
         if not self.vertices:
@@ -42,53 +53,22 @@ class Quiver:
             raise ValueError("duplicate vertex ids")
         if len(set(map(itemgetter(0), self.arrows))) != len(self.arrows):
             raise ValueError("duplicate arrow ids")
-        if not (declared.issuperset(map(itemgetter(1), self.arrows))
+        sources = set(map(itemgetter(1), self.arrows))
+        if not (declared.issuperset(sources)
                 and declared.issuperset(map(itemgetter(2), self.arrows))):
             a = next(a for a in self.arrows
                      if a.source not in declared or a.target not in declared)
             raise ValueError(f"arrow {a.name}: undeclared endpoint")
+        sinks = tuple(v for v in self.vertices if v not in sources)
+        object.__setattr__(self, "vertices", sinks + tuple(
+            v for v in self.vertices if v in sources))
+        object.__setattr__(self, "num_sinks", len(sinks))
 
     @classmethod
     def build(cls, vertices, arrows) -> "Quiver":
         return cls(tuple(vertices),
                    tuple(Arrow(*a) if not isinstance(a, Arrow) else a
                          for a in arrows))
-
-    def is_sink(self, v: str) -> bool:
-        return all(a.source != v for a in self.arrows)
-
-
-class SourcesPresentError(ValueError):
-    """The operation needs every vertex to have an incoming arrow."""
-
-    def __init__(self, sources):
-        self.sources = tuple(sources)
-        super().__init__("quiver has sources: " + ", ".join(self.sources))
-
-
-def require_no_sources(q: "Quiver | OrderedQuiver") -> None:
-    """Raise SourcesPresentError, naming in `sources` the vertices with
-    no incoming arrow, if there are any.
-
-    >>> require_no_sources(parse_quiver("vertices w\\narrow a w w"))
-    >>> require_no_sources(parse_quiver("vertices w v\\narrow a w w"))
-    Traceback (most recent call last):
-    ...
-    leavittk.quiver.SourcesPresentError: quiver has sources: v
-    """
-    with_incoming = set(map(itemgetter(2), q.arrows))
-    sources = tuple(v for v in q.vertices if v not in with_incoming)
-    if sources:
-        raise SourcesPresentError(sources)
-
-
-@dataclass(frozen=True)
-class OrderedQuiver:
-    """A quiver whose vertex tuple is stably partitioned sinks-first."""
-
-    vertices: tuple
-    arrows: tuple
-    num_sinks: int
 
     @property
     def v(self) -> int:
@@ -104,29 +84,39 @@ class OrderedQuiver:
     def is_sink(self, v: str) -> bool:
         return self.index(v) < self.num_sinks
 
-    def as_quiver(self) -> Quiver:
-        return Quiver(self.vertices, self.arrows)
+
+class SourcesPresentError(ValueError):
+    """The operation needs every vertex to have an incoming arrow."""
+
+    def __init__(self, sources):
+        self.sources = tuple(sources)
+        super().__init__("quiver has sources: " + ", ".join(self.sources))
 
 
-def order_sinks_first(q: "Quiver | OrderedQuiver") -> OrderedQuiver:
-    """Stable partition of the vertex list with sinks in front.
+def require_no_sources(q: Quiver) -> None:
+    """Raise SourcesPresentError, naming in `sources` the vertices with
+    no incoming arrow, if there are any.
+
+    >>> require_no_sources(parse_quiver("vertices w\\narrow a w w"))
+    >>> require_no_sources(parse_quiver("vertices w v\\narrow a w w"))
+    Traceback (most recent call last):
+    ...
+    leavittk.quiver.SourcesPresentError: quiver has sources: v
+    """
+    with_incoming = set(map(itemgetter(2), q.arrows))
+    sources = tuple(v for v in q.vertices if v not in with_incoming)
+    if sources:
+        raise SourcesPresentError(sources)
+
+
+def order_sinks_first(q: Quiver) -> Quiver:
+    """Return `q`: every Quiver is stored sinks-first when it is built.
 
     >>> jq = parse_quiver("vertices 1 2\\narrow a 1 1\\narrow b 1 2")
-    >>> order_sinks_first(jq).vertices
-    ('2', '1')
+    >>> order_sinks_first(jq) is jq
+    True
     """
-    if isinstance(q, OrderedQuiver):
-        q = q.as_quiver()
-    sources = set(map(itemgetter(1), q.arrows))
-    sinks = [v for v in q.vertices if v not in sources]
-    others = [v for v in q.vertices if v in sources]
-    return OrderedQuiver(vertices=tuple(sinks + others), arrows=q.arrows,
-                         num_sinks=len(sinks))
-
-
-def as_ordered(q: "Quiver | OrderedQuiver") -> OrderedQuiver:
-    """Pass OrderedQuiver through; order anything else sinks-first."""
-    return q if isinstance(q, OrderedQuiver) else order_sinks_first(q)
+    return q
 
 
 _new_arrow = partial(tuple.__new__, Arrow)
@@ -135,8 +125,8 @@ _new_arrow = partial(tuple.__new__, Arrow)
 def parse_quiver(text: str) -> Quiver:
     """Parse the line-oriented quiver format.
 
-    `#` starts a comment; `vertices <id>...` declares vertices in order
-    (several lines allowed); `arrow <id> <source> <target>` declares one
+    `#` starts a comment; `vertices <id>...` declares vertices (several
+    lines allowed; the Quiver stores them sinks-first); `arrow <id> <source> <target>` declares one
     arrow.  Tokens are whitespace-separated; there is no escaping.  No
     vertex or arrow id may contain `=`, which separates a record's key
     from its value in the CLI's records format.
@@ -194,14 +184,14 @@ def parse_quiver(text: str) -> Quiver:
     raise QuiverParseError(1, "empty vertex set")
 
 
-def render_quiver(q: "Quiver | OrderedQuiver") -> str:
+def render_quiver(q: Quiver) -> str:
     """Canonical text form; parse_quiver(render_quiver(q)) == q."""
     lines = ["vertices " + " ".join(q.vertices)]
     lines += [f"arrow {a.name} {a.source} {a.target}" for a in q.arrows]
     return "\n".join(lines) + "\n"
 
 
-def incidence_matrix(q: OrderedQuiver) -> IntMatrix:
+def incidence_matrix(q: Quiver) -> IntMatrix:
     """v x v matrix counting arrows from vertex i to vertex j.
 
     Rows belonging to sinks are zero, which is exactly why the sink
@@ -214,11 +204,7 @@ def incidence_matrix(q: OrderedQuiver) -> IntMatrix:
     return IntMatrix._of(tuple(map(tuple, counts)), q.v)
 
 
-def reduced_incidence(q: OrderedQuiver) -> IntMatrix:
+def reduced_incidence(q: Quiver) -> IntMatrix:
     """The incidence matrix with the leading (zero) sink rows removed."""
     full = incidence_matrix(q)
-    for i in range(q.num_sinks):
-        if any(full.row(i)):
-            raise AssertionError(
-                f"sink row {i} is nonzero; vertex ordering is inconsistent")
     return IntMatrix._of(tuple(map(full.row, range(q.num_sinks, q.v))), q.v)

@@ -9,25 +9,25 @@ import itertools
 import random
 import signal
 
-from leavittk import OrderedQuiver, Quiver, order_sinks_first, quiver
+from leavittk import Quiver, quiver
 from leavittk.algebra import Monomial, Path, _paths_by_target, _sort_key
 from leavittk.groups import SizeLimitError
 from leavittk.ktheory import rose_quiver
 from leavittk.matrices import IntMatrix
 
 
-def jacobson_quiver(n: int) -> OrderedQuiver:
+def jacobson_quiver(n: int) -> Quiver:
     """Two vertices; n+1 loops at 1 and n+1 arrows from 1 to the sink 2."""
     arrows = [(f"a{i}", "1", "1") for i in range(1, n + 2)]
     arrows += [(f"b{i}", "1", "2") for i in range(1, n + 2)]
-    return order_sinks_first(Quiver.build(("1", "2"), arrows))
+    return Quiver.build(("1", "2"), arrows)
 
 
-def toeplitz_quiver() -> OrderedQuiver:
+def toeplitz_quiver() -> Quiver:
     return jacobson_quiver(0)
 
 
-def rose(petals: int) -> OrderedQuiver:
+def rose(petals: int) -> Quiver:
     return rose_quiver(petals)
 
 
@@ -44,7 +44,7 @@ ENGINE_QUIVERS = {
 
 def random_no_source_quiver(rng: random.Random, max_vertices: int = 3,
                             max_arrows: int = 5,
-                            also_sink_free: bool = False) -> OrderedQuiver:
+                            also_sink_free: bool = False) -> Quiver:
     """Random quiver where every vertex has an incoming arrow (and an
     outgoing one too when also_sink_free is set).  The mandatory arrows
     are added first, so max_arrows only caps the optional extras."""
@@ -63,11 +63,11 @@ def random_no_source_quiver(rng: random.Random, max_vertices: int = 3,
                 add(src, rng.choice(vertices))
     while len(arrows) < max_arrows and rng.random() < 0.6:
         add(rng.choice(vertices), rng.choice(vertices))
-    return order_sinks_first(Quiver.build(vertices, arrows))
+    return Quiver.build(vertices, arrows)
 
 
 def random_ladder_quiver(rng: random.Random, v: int, arrows_per_vertex: int,
-                         sinks: int = 0) -> OrderedQuiver:
+                         sinks: int = 0) -> Quiver:
     """v vertices, the first `sinks` of them sinks, every vertex with an
     incoming arrow and about `arrows_per_vertex` arrows leaving each
     non-sink, in shuffled declaration order."""
@@ -81,19 +81,19 @@ def random_ladder_quiver(rng: random.Random, v: int, arrows_per_vertex: int,
         pairs.append((rng.choice(nonsinks), rng.choice(vertices)))
     rng.shuffle(vertices)
     arrows = [(f"e{i}", s, t) for i, (s, t) in enumerate(pairs)]
-    return order_sinks_first(Quiver.build(vertices, arrows))
+    return Quiver.build(vertices, arrows)
 
 
-def dense_quiver(rng: random.Random, v: int, most: int) -> OrderedQuiver:
+def dense_quiver(rng: random.Random, v: int, most: int) -> Quiver:
     """Sink-free: 1..most parallel arrows for every ordered vertex pair."""
     vertices = [f"v{i}" for i in range(v)]
     pairs = [(s, t) for s in vertices for t in vertices
              for _ in range(rng.randint(1, most))]
     arrows = [(f"e{i}", s, t) for i, (s, t) in enumerate(pairs)]
-    return order_sinks_first(Quiver.build(vertices, arrows))
+    return Quiver.build(vertices, arrows)
 
 
-def unfactorable_dense_quiver() -> OrderedQuiver:
+def unfactorable_dense_quiver() -> Quiver:
     """20 sink-free vertices v0..v19 with random.Random(95).randint(0, 10)
     arrows a{i}_{j}_{k} from v_i to v_j, pairs in row-major order: 1,974
     arrows and det -368029041531894267421 = -13 * 2072142187 *
@@ -104,7 +104,7 @@ def unfactorable_dense_quiver() -> OrderedQuiver:
     arrows = [(f"a{i}_{j}_{k}", f"v{i}", f"v{j}")
               for i in range(20) for j in range(20)
               for k in range(rng.randint(0, 10))]
-    return order_sinks_first(Quiver.build(vertices, arrows))
+    return Quiver.build(vertices, arrows)
 
 
 def literal_torsion_counts(matrix, m: int, qs) -> dict:
@@ -142,7 +142,7 @@ def matrix_power(a: IntMatrix, m: int) -> IntMatrix:
     return result
 
 
-def path_count_matrix(q: OrderedQuiver, length: int) -> IntMatrix:
+def path_count_matrix(q: Quiver, length: int) -> IntMatrix:
     """Entry (i, j) counts paths of the given length from v_i to v_j: the
     matrix-power reference for the filtration's block sizes."""
     return matrix_power(quiver.incidence_matrix(q), length)

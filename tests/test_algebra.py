@@ -98,6 +98,24 @@ class TestConstruction:
         assert alg._in == {"u": ("a", "b"), "w": ("c",)}
         assert alg.special == {"u": "a", "w": "b"}
 
+    @pytest.mark.parametrize("call, message", (
+        (lambda alg: alg.empty_path("z"), "unknown vertex 'z'"),
+        (lambda alg: alg.path([]), "use empty_path for trivial paths"),
+        (lambda alg: alg.path(["b1", "a1"]),
+         "arrows 'b1' and 'a1' do not compose"),
+        (lambda alg: alg.arrow("z"), "unknown arrow 'z'"),
+    ), ids=("empty_path", "path-empty", "path-gap", "arrow"))
+    def test_refuses_bad_input(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call(toeplitz_algebra())
+        assert str(err.value) == message
+
+    def test_element_is_never_a_scalar(self):
+        # __eq__ returns NotImplemented for a non-Element, so == is False
+        alg = toeplitz_algebra()
+        assert (alg.arrow("a1") == 3) is False
+        assert alg.arrow("a1") != 3
+
 
 class TestNormalForm:
     def test_one_junction_step(self):

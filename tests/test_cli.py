@@ -528,6 +528,14 @@ class TestRecordsFormat:
         again = "\n".join(f"{k}={v}" for k, v in records) + "\n"
         assert again == out
 
+    @pytest.mark.parametrize("text, records", (
+        ("a=1\n\nb=2\n", [("a", "1"), ("b", "2")]),
+        ("\n \t\nk=v=w\n\n", [("k", "v=w")]),
+        ("", []),
+    ))
+    def test_blank_lines_skipped(self, text, records):
+        assert parse_records(text) == records
+
     def test_bad_record_line(self):
         with pytest.raises(ValueError):
             parse_records("no separator here\n")

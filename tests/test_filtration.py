@@ -148,6 +148,13 @@ class TestLevelBound:
             got = call_within(2, lambda: fn(q, 10 ** 8))
             assert isinstance(got, SizeLimitError), fn.__name__
 
+    @pytest.mark.parametrize("fn", (block_profile, filtration_span_dim,
+                                    inclusion_k0_matrix, phi_k0_matrix))
+    def test_negative_level_refused(self, fn):
+        with pytest.raises(ValueError,
+                           match="filtration level must be nonnegative"):
+            fn(toeplitz_quiver(), -1)
+
     def test_long_paths_refused(self):
         # one path of every length: the path table alone would hold about
         # 1.8e9 arrows

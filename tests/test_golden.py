@@ -20,10 +20,15 @@ PRIMES = "2,2^3,3,5^2,7"
 
 
 def element_expressions(name: str) -> list:
-    """`1`, `0`, a sum, a fraction scalar and a product, in `name`'s arrows."""
-    q = parse_quiver((DATA / name).read_text(encoding="utf-8"))
+    """`1`, `0`, a sum, a fraction scalar and a product, in `name`'s arrows
+    and its first declared vertex."""
+    text = (DATA / name).read_text(encoding="utf-8")
+    q = parse_quiver(text)
+    first = next(tokens[1] for tokens in (line.split("#")[0].split()
+                                          for line in text.splitlines())
+                 if tokens[:1] == ["vertices"])
     a, b = q.arrows[0].name, q.arrows[-1].name
-    return ["1", "0", f"{a} + {b}*", f"2/3 {a}* . {a} - e({q.vertices[0]})",
+    return ["1", "0", f"{a} + {b}*", f"2/3 {a}* . {a} - e({first})",
             f"{a} . {a}*"]
 
 

@@ -133,8 +133,25 @@ class TestFloatsRefused:
             G(4).tensor_with_cyclic(2.0)
         assert G(-4, 0, 6) == FinAbGroup(free_rank=1, torsion=(2, 12))
 
+    def test_constructor_torsion(self):
+        with pytest.raises(TypeError):
+            FinAbGroup(free_rank=0, torsion=(2.0, 4.0))
+        assert str(FinAbGroup(free_rank=0, torsion=(2, 4))) == "Z/2 (+) Z/4"
+
+    def test_constructor_free_rank(self):
+        with pytest.raises(TypeError):
+            FinAbGroup.free(1.5)
+        with pytest.raises(TypeError):
+            FinAbGroup(free_rank=2.0)
+        assert str(FinAbGroup.free(2)) == "Z (+) Z"
+
 
 class TestFactorize:
+    @pytest.mark.parametrize("n", (0, -6))
+    def test_refuses_nonpositive(self, n):
+        with pytest.raises(ValueError, match="factorize needs n >= 1"):
+            factorize(n)
+
     def test_stops_at_proven_prime_cofactor(self):
         assert factorize(BIG_PRIME) == ((BIG_PRIME, 1),)
         assert factorize(4 * 9 * BIG_PRIME) == ((2, 2), (3, 2), (BIG_PRIME, 1))

@@ -38,6 +38,19 @@ def test_matmul_and_power():
     assert matrix_power(a, 0) == IntMatrix.identity(2)
 
 
+@pytest.mark.parametrize("call, message", (
+    (lambda: IntMatrix([[1, 2]]) + IntMatrix([[1], [2]]), "shape mismatch"),
+    (lambda: IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]]),
+     "shape mismatch in product"),
+    (lambda: IntMatrix([[1, 2]]).determinant(),
+     "determinant needs a square matrix"),
+), ids=("add", "matmul", "determinant"))
+def test_shape_mismatch_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_determinant_fixtures():
     assert IntMatrix([[2, 4], [6, 8]]).determinant() == -8
     assert IntMatrix([[1, 2], [2, 4]]).determinant() == 0

@@ -5,10 +5,10 @@ import pytest
 from helpers import jacobson_quiver, path_count_matrix, \
     random_no_source_quiver, rose, toeplitz_quiver
 from leavittk.matrices import IntMatrix
-from leavittk.quiver import (Arrow, OrderedQuiver, Quiver, QuiverParseError,
-                             SourcesPresentError, as_ordered,
-                             incidence_matrix, order_sinks_first,
-                             parse_quiver, reduced_incidence, render_quiver,
+from leavittk.quiver import (Arrow, Quiver, QuiverParseError,
+                             SourcesPresentError, incidence_matrix,
+                             order_sinks_first, parse_quiver,
+                             reduced_incidence, render_quiver,
                              require_no_sources)
 
 
@@ -25,7 +25,7 @@ class TestParsing:
 
     def test_comments_and_blank_lines(self):
         q = parse_quiver("# heading\n\nvertices a b  # trailing\narrow x a b\n")
-        assert q.vertices == ("a", "b")
+        assert q.vertices == ("b", "a")
         assert q.arrows[0].name == "x"
 
     def test_multiple_vertices_lines_keep_order(self):
@@ -74,7 +74,7 @@ class TestParsing:
     def test_round_trip(self):
         rng = random.Random(0)
         for _ in range(25):
-            q = random_no_source_quiver(rng).as_quiver()
+            q = random_no_source_quiver(rng)
             assert parse_quiver(render_quiver(q)) == q
 
 
@@ -114,7 +114,7 @@ class TestOrdering:
             q = random_no_source_quiver(rng)
             again = order_sinks_first(q)
             assert again.vertices == q.vertices
-            assert sorted(again.vertices) == sorted(q.as_quiver().vertices)
+            assert again is q
 
 
 class TestIncidence:
@@ -144,7 +144,7 @@ class TestIncidence:
             full = incidence_matrix(q)
             for i, v in enumerate(q.vertices):
                 row_zero = all(full[i, j] == 0 for j in range(q.v))
-                assert row_zero == q.as_quiver().is_sink(v)
+                assert row_zero == all(a.source != v for a in q.arrows)
 
 
 class TestPathCounts:
@@ -200,19 +200,43 @@ def test_programmatic_validation():
         assert str(err.value) == message
 
 
-def test_as_ordered_passthrough_and_coercion():
+def test_order_sinks_first_passes_through():
     q = parse_quiver("vertices 1 2\narrow a 1 1\narrow b 1 2")
-    oq = as_ordered(q)
-    assert oq.vertices == ("2", "1")
-    assert as_ordered(oq) is oq
+    assert q.vertices == ("2", "1")
+    assert order_sinks_first(q) is q
 
 
-def test_reduced_incidence_rejects_bad_ordering():
-    # A hand-built OrderedQuiver whose sink count is wrong must be caught.
-    q = jacobson_quiver(0)
-    bogus = OrderedQuiver(vertices=("1", "2"), arrows=q.arrows, num_sinks=1)
-    with pytest.raises(AssertionError):
-        reduced_incidence(bogus)
+def _quiver_text(vertices, arrows) -> str:
+    return "\n".join(["vertices " + " ".join(vertices)]
+                     + [f"arrow {n} {s} {t}" for n, s, t in arrows]) + "\n"
+
+
+@pytest.mark.parametrize("make", (
+    lambda vs, arrows: Quiver(tuple(vs), tuple(Arrow(*a) for a in arrows)),
+    Quiver.build,
+    lambda vs, arrows: parse_quiver(_quiver_text(vs, arrows)),
+), ids=("init", "build", "parse"))
+def test_sinks_first_at_construction(make):
+    """Every way of building a Quiver stores the vertices with no outgoing
+    arrow first and the rest after them, each group in declaration order,
+    and sets num_sinks itself, so a wrongly ordered quiver cannot be built."""
+    rng = random.Random(27)
+    for _ in range(60):
+        vertices = [f"v{i}" for i in range(rng.randint(1, 7))]
+        rng.shuffle(vertices)
+        arrows = [(f"e{i}", rng.choice(vertices), rng.choice(vertices))
+                  for i in range(rng.randint(0, 9))]
+        q = make(vertices, arrows)
+        sources = {s for _, s, _ in arrows}
+        sinks = [v for v in vertices if v not in sources]
+        assert q.vertices == tuple(sinks + [v for v in vertices
+                                            if v in sources])
+        assert q.num_sinks == q.v_prime == len(sinks)
+        assert [q.is_sink(v) for v in q.vertices] \
+            == [v in sinks for v in q.vertices]
+        assert all(q.index(v) == i for i, v in enumerate(q.vertices))
+        with pytest.raises(TypeError):
+            Quiver(q.vertices, q.arrows, num_sinks=len(sinks))
 
 
 # (text, line, message) of malformed quiver files, recorded from the
