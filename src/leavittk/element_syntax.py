@@ -13,6 +13,7 @@ Scalars are integers or fractions like ``2/3``.  Example input:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .algebra import Element, LeavittAlgebra
@@ -27,6 +28,10 @@ class ElementSyntaxError(ValueError):
 
 
 _SYMBOLS = {"+", "-", ".", "*", "(", ")"}
+# A number with an optional '/denominator', a name, or one other
+# character; whitespace is skipped.  For str patterns \d, \w and \s are
+# exactly str.isdecimal(), str.isalnum() or '_', and str.isspace().
+_TOKEN = re.compile(r"(\d+)(/\d*)?|(\w+)|\S")
 # Four parser frames per parenthesis: this keeps clear of the
 # interpreter's recursion limit.
 _MAX_NESTING = 100
@@ -43,48 +48,25 @@ def _integer(text: str, i: int, j: int) -> int:
 
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for match in _TOKEN.finditer(text):
+        i, word = match.start(), match.group()
+        digits, fraction, name = match.groups()
+        if digits is None:
+            if name is None and word not in _SYMBOLS:
+                raise ElementSyntaxError(i, f"unexpected character {word!r}")
+            tokens.append(("id" if name else word, word, i, word))
             continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, ch, i, ch))
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdecimal():
-                    k += 1
-                if k == j + 1:
-                    raise ElementSyntaxError(j, "expected digits after '/'")
-                denominator = _integer(text, j + 1, k)
-                if denominator == 0:
-                    raise ElementSyntaxError(j, "division by zero")
-                numerator = _integer(text, i, j)
-                tokens.append(("num", Fraction(numerator, denominator), i,
-                               text[i:k]))
-                i = k
-            else:
-                tokens.append(("num", Fraction(_integer(text, i, j)), i,
-                               text[i:j]))
-                i = j
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("id", text[i:j], i, text[i:j]))
-            i = j
-            continue
-        raise ElementSyntaxError(i, f"unexpected character {ch!r}")
-    tokens.append(("end", None, n, ""))
+        j = match.end(1)
+        denominator = 1
+        if fraction is not None:
+            if fraction == "/":
+                raise ElementSyntaxError(j, "expected digits after '/'")
+            denominator = _integer(text, j + 1, match.end())
+            if denominator == 0:
+                raise ElementSyntaxError(j, "division by zero")
+        tokens.append(("num", Fraction(_integer(text, i, j), denominator), i,
+                       word))
+    tokens.append(("end", None, len(text), ""))
     return tokens
 
 
@@ -200,10 +182,6 @@ class _Parser:
         return self._as_element(a) + self._as_element(b)
 
     def _mul(self, a, b):
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a * b
-        if isinstance(a, Fraction):
-            return b * a
         return a * b
 
 

@@ -21,6 +21,7 @@ from .matrices import IntMatrix, smith_normal_form
 from .quiver import Quiver, reduced_incidence, require_no_sources
 
 DEFAULT_WINDOW = (-2, 7)
+_KMAP_BOUND = 10 ** 8
 
 
 def leavitt_matrix(q: Quiver) -> IntMatrix:
@@ -29,7 +30,8 @@ def leavitt_matrix(q: Quiver) -> IntMatrix:
     Shape v x (v - v'); the first v' rows (the sinks) carry no identity
     contribution.  Built in one pass over the arrows: column j belongs
     to the non-sink vertex v' + j, and each arrow subtracts 1 in the row
-    of its target.
+    of its target.  A map of more than 10^8 cells raises SizeLimitError
+    before it is allocated.
 
     >>> from .quiver import parse_quiver
     >>> jac = parse_quiver("vertices 1 2\\narrow a 1 1\\narrow b 1 2")
@@ -39,6 +41,9 @@ def leavitt_matrix(q: Quiver) -> IntMatrix:
     require_no_sources(q)
     sinks = q.num_sinks
     cols = q.v - sinks
+    if q.v * cols > _KMAP_BOUND:
+        raise SizeLimitError(f"K-map of {q.v} x {cols} would exceed "
+                             f"{_KMAP_BOUND} cells")
     index = {v: i for i, v in enumerate(q.vertices)}
     rows = [[0] * cols for _ in range(q.v)]
     for j in range(cols):
@@ -150,8 +155,8 @@ def _resolve_extension(sub: FinAbGroup, quotient: FinAbGroup) -> FinAbGroup | No
         return quotient
     if quotient.is_trivial:
         return sub
-    if sub.is_cyclic() and quotient.is_cyclic() and sub.is_finite \
-            and quotient.is_finite and gcd(sub.order(), quotient.order()) == 1:
+    if sub.is_cyclic() and quotient.is_cyclic() \
+            and gcd(sub.order(), quotient.order()) == 1:
         return sub.direct_sum(quotient)
     return None
 
@@ -313,12 +318,9 @@ class SplitCheckResult:
 
     @property
     def equal(self) -> bool:
-        """Whether the two tables agree on the window.  The groups depend
-        only on parity, so its first two nonnegative degrees decide."""
-        lo, hi = self.left.window
-        first = max(lo, 0)
+        """Whether the two tables agree in every degree of the window."""
         return all(self.left.group_at(n) == self.right.group_at(n)
-                   for n in range(first, min(hi, first + 1) + 1))
+                   for n in self.left.degrees())
 
 
 def rose_quiver(petals: int) -> Quiver:

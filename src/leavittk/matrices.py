@@ -54,7 +54,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.identity_below_zero(n, n)
 
     @classmethod
     def identity_below_zero(cls, rows: int, cols: int) -> "IntMatrix":

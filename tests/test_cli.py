@@ -175,11 +175,40 @@ class TestExitCodes:
          "position 100: more than 100 nested parentheses"),
         ("(x", "position 2: expected ')'"),
         ("x )", "position 2: trailing input"),
-        ("e(+)", "position 2: expected a vertex id")])
+        ("e(+)", "position 2: expected a vertex id"),
+        ("\u0663/\u0660", "position 1: division by zero"),
+        ("2 /3", "position 2: unexpected character '/'"),
+        ("1/" + "9" * 5000, "position 2: a number of 5000 digits is too long"),
+        ("_", "position 0: unknown arrow '_'")])
     def test_bad_expression_exit_one(self, text, message):
         code, out, err = run_cli(["algebra", quiver_path("rose2.q"),
                                   "--eval", text])
         assert (code, out, err) == (1, "", message + "\n")
+
+    @pytest.mark.parametrize("text,normal_form", [
+        ("\u0663/\u0664 x", "3/4 x"),
+        ("x\u3000y", "x y")])
+    def test_unicode_digits_and_spaces(self, text, normal_form):
+        """Arabic-Indic digits are decimal, and an ideographic space
+        separates tokens."""
+        code, out, err = run_cli(["algebra", quiver_path("rose2.q"),
+                                  "--eval", text])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == f"normal form: {normal_form}"
+
+    def test_kmap_bound_exit_four(self, tmp_path):
+        """A 20,000-vertex cycle would need a 20,000 x 20,000 K-map; it is
+        refused before any row is allocated."""
+        n = 20000
+        path = tmp_path / "cycle.q"
+        path.write_text("vertices " + " ".join(f"v{i}" for i in range(n))
+                        + "\n" + "".join(f"arrow a{i} v{i} v{(i + 1) % n}\n"
+                                         for i in range(n)))
+        for args in (["kmod", str(path), "--mod", "4"],
+                     ["analyze", str(path), "--primes", "2"]):
+            got = call_within(2, lambda: run_cli(args))
+            assert got == (4, "", "work bound exceeded: K-map of 20000 x "
+                                  "20000 would exceed 100000000 cells\n")
 
     def test_product_bound_exit_four(self):
         text = "(x+y)" * 20

@@ -10,7 +10,8 @@ from leavittk.groups import (FinAbGroup, Modulus, SizeLimitError,
                              _pivot_phase as pivot_phase,
                              brute_force_mod_oracle, kernel_cokernel_mod)
 from leavittk.matrices import IntMatrix, smith_normal_form
-from leavittk.ktheory import (DegreeData, corner_les, divisibility_report,
+from leavittk.ktheory import (DegreeData, KGroupTable, SplitCheckResult,
+                              corner_les, divisibility_report,
                               leavitt_matrix, les_table_for_quiver,
                               mod_l_ktheory, moore_splitting_check,
                               suslin_coefficients)
@@ -36,6 +37,15 @@ class TestLeavittMatrix:
         q = order_sinks_first(parse_quiver("vertices a b\narrow x a b\narrow l b b"))
         with pytest.raises(SourcesPresentError):
             leavitt_matrix(q)
+
+    def test_size_bound_is_inclusive(self, monkeypatch):
+        """A 2 x 1 map is built at a bound of 2 cells, a 2 x 2 one is not."""
+        monkeypatch.setattr(ktheory, "_KMAP_BOUND", 2)
+        assert leavitt_matrix(jacobson_quiver(1)).tolists() == [[-2], [-1]]
+        two_cycle = parse_quiver("vertices u w\narrow a u w\narrow b w u")
+        with pytest.raises(SizeLimitError, match="K-map of 2 x 2 would "
+                                                 "exceed 2 cells"):
+            leavitt_matrix(two_cycle)
 
     def test_matches_block_construction(self):
         rng = random.Random(8)
@@ -279,6 +289,19 @@ class TestMooreSplitting:
                 res = moore_splitting_check(n, Modulus.of(m), *window)
                 assert res.equal
                 assert res.left.window == res.right.window == window
+
+    @pytest.mark.parametrize("window,equal", [
+        ((0, 0), True), ((0, 1), False), ((3, 100), False), ((-3, -1), True)])
+    def test_verdict_reads_every_degree_of_the_window(self, window, equal):
+        """Tables that differ only in `odd` agree exactly on the windows
+        that hold no odd nonnegative degree.  moore_splitting_check is
+        always EQUAL (by CRT), so the tables are built by hand."""
+        m = Modulus.of(4)
+        left = KGroupTable(modulus=m, even=G(2), odd=G(2), window=window)
+        right = KGroupTable(modulus=m, even=G(2), odd=G(4), window=window)
+        res = SplitCheckResult(n=6, modulus=m, factors=(2, 3), left=left,
+                               right=right)
+        assert res.equal is equal
 
     def test_range(self):
         for n in range(2, 30):
