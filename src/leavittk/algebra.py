@@ -125,11 +125,6 @@ class LeavittAlgebra:
 
     # -- monomials ---------------------------------------------------------
 
-    def _is_normal(self, mon: Monomial) -> bool:
-        la, ra = mon.left.arrows, mon.right.arrows
-        return not la or not ra or la[-1] != ra[-1] \
-            or la[-1] not in self._junction
-
     @staticmethod
     def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial | None:
         """Product before junction rewriting; None means zero: t1* s2

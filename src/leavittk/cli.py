@@ -9,10 +9,10 @@ empty --from/--to window), 2 quiver has sources, 3 bad modulus, 4 work
 bound exceeded (a filtration level past its size limit, a kmod or
 analyze K-map of more than 10^8 cells, split --n above 10^5, a
 --from/--to window of more than 10^4 degrees, an --eval product
-of more than 20,000 terms, an analyze determinant with a cofactor not
-proven prime after trial division below 10^6).  An --eval expression
-that starts with '-' is written --eval=TEXT, as in --eval=-x, or
-argparse reads it as an option.
+of more than 20,000 terms, an analyze determinant of a sink-free K-map
+of more than 400 rows, or with a cofactor not proven prime after trial
+division below 10^6).  An --eval expression that starts with '-' is
+written --eval=TEXT, as in --eval=-x, or argparse reads it as an option.
 """
 
 from __future__ import annotations

@@ -49,12 +49,6 @@ class BlockProfile:
     def sum_of_squares(self) -> int:
         return sum(b.size ** 2 for b in self.blocks)
 
-    def index_of(self, level: int, vertex: str) -> int:
-        for i, b in enumerate(self.blocks):
-            if b.level == level and b.vertex == vertex:
-                return i
-        raise KeyError((level, vertex))
-
 
 # The work bound of one filtration stage: at most this many spanning
 # monomials, paths or path arrows in the path table, and K0-matrix cells.
@@ -72,8 +66,8 @@ def _check_level(q: Quiver, n: int) -> None:
     """
     if n < 0:
         raise ValueError("filtration level must be nonnegative")
-    cells = ((n + 1) * q.v_prime + q.v - q.v_prime) \
-        * ((n + 2) * q.v_prime + q.v - q.v_prime)
+    cells = ((n + 1) * q.num_sinks + q.v - q.num_sinks) \
+        * ((n + 2) * q.num_sinks + q.v - q.num_sinks)
     if max(cells, q.v * n * (n + 1) // 2) > _SPAN_LIMIT:
         raise SizeLimitError(f"filtration level {n} would exceed "
                              f"{_SPAN_LIMIT} matrix cells or path arrows")
@@ -83,7 +77,7 @@ def _block_labels(q: Quiver, n: int) -> list:
     """(level, vertex) labels of the stage-n blocks, sorted by level and
     vertex position: every level for a sink, level n for a non-sink."""
     return [(m, w) for m in range(n + 1) for j, w in enumerate(q.vertices)
-            if j < q.v_prime or m == n]
+            if j < q.num_sinks or m == n]
 
 
 def _profiles(q: Quiver, *levels) -> list:
@@ -239,25 +233,27 @@ def _stage(q: Quiver, n: int) -> tuple:
 
 def _inclusion(q, alg, by_target, src, dst) -> IntMatrix:
     n = src.level
+    at = {(b.level, b.vertex): i for i, b in enumerate(dst.blocks)}
     rows = [[0] * src.count for _ in range(dst.count)]
     for col, block in enumerate(src.blocks):
         sigma = by_target[block.level][block.vertex][0]
         u = Monomial(sigma, sigma)
         if q.is_sink(block.vertex):
-            rows[dst.index_of(block.level, block.vertex)][col] += 1
+            rows[at[block.level, block.vertex]][col] += 1
             continue
         exts = [alg.path(sigma.arrows + (a,)) for a in alg._out[block.vertex]]
         if alg.element([(Monomial(e, e), 1) for e in exts]) \
                 != alg.element([(u, 1)]):
             raise AssertionError("idempotent splitting failed symbolically")
         for e in exts:
-            rows[dst.index_of(n + 1, e.target)][col] += 1
+            rows[at[n + 1, e.target]][col] += 1
     return IntMatrix(rows)
 
 
 def _phi(q, alg, by_target, src, dst) -> IntMatrix:
     corner = corner_data(alg)
     designated = dict(corner.designated)
+    at = {(b.level, b.vertex): i for i, b in enumerate(dst.blocks)}
     rows = [[0] * src.count for _ in range(dst.count)]
     for col, block in enumerate(src.blocks):
         sigma = by_target[block.level][block.vertex][0]
@@ -265,7 +261,7 @@ def _phi(q, alg, by_target, src, dst) -> IntMatrix:
         if corner_phi(alg.element([(Monomial(sigma, sigma), 1)]), corner) \
                 != alg.element([(Monomial(image, image), 1)]):
             raise AssertionError("corner endomorphism mismatch")
-        rows[dst.index_of(block.level + 1, block.vertex)][col] += 1
+        rows[at[block.level + 1, block.vertex]][col] += 1
     return IntMatrix(rows)
 
 
@@ -305,7 +301,7 @@ def _stage_report(q: Quiver, n: int) -> tuple:
 def expected_inclusion_matrix(q: Quiver, n: int) -> IntMatrix:
     """The combinatorial block form: identity on sink levels, transposed
     reduced incidence on the top level."""
-    v, vp = q.v, q.v_prime
+    v, vp = q.v, q.num_sinks
     src_count = (n + 1) * vp + (v - vp)
     dst_count = (n + 2) * vp + (v - vp)
     it = reduced_incidence(q).transpose()
@@ -321,8 +317,8 @@ def expected_inclusion_matrix(q: Quiver, n: int) -> IntMatrix:
 def expected_phi_matrix(q: Quiver, n: int) -> IntMatrix:
     """The combinatorial block form: zero rows on the fresh sink level,
     identity shifted one level up."""
-    src_count = (n + 1) * q.v_prime + (q.v - q.v_prime)
-    return IntMatrix.identity_below_zero(src_count + q.v_prime, src_count)
+    src_count = (n + 1) * q.num_sinks + (q.v - q.num_sinks)
+    return IntMatrix.identity_below_zero(src_count + q.num_sinks, src_count)
 
 
 def stabilized_block_difference(q: Quiver, n: int) -> IntMatrix:

@@ -1,7 +1,7 @@
-"""Shared quiver builders, random generators, a literal-definition
-torsion counter, matrix-power path counts, a normal-basis enumeration,
-a step-by-step rewriting reference and a time-bounded call for the
-test suite."""
+"""Shared quiver builders, a cycle's quiver file, random generators, a
+literal-definition torsion counter, matrix-power path counts, a
+normal-basis enumeration, a step-by-step rewriting reference and a
+time-bounded call for the test suite."""
 
 from __future__ import annotations
 
@@ -29,6 +29,12 @@ def toeplitz_quiver() -> Quiver:
 
 def rose(petals: int) -> Quiver:
     return rose_quiver(petals)
+
+
+def cycle_text(n: int) -> str:
+    """The quiver file of one cycle a_i: v_i -> v_(i+1 mod n)."""
+    return "vertices " + " ".join(f"v{i}" for i in range(n)) + "\n" \
+        + "".join(f"arrow a{i} v{i} v{(i + 1) % n}\n" for i in range(n))
 
 
 ENGINE_QUIVERS = {
@@ -163,20 +169,25 @@ def enumerate_basis(alg, max_path_len: int) -> list:
             raise SizeLimitError(
                 f"basis enumeration would exceed {_BASIS_LIMIT} monomials")
         out.extend(mon for left in pool for right in pool
-                   if alg._is_normal(mon := Monomial(left, right)))
+                   if is_normal(alg, mon := Monomial(left, right)))
     out.sort(key=_sort_key)
     return out
+
+
+def is_normal(alg, mon) -> bool:
+    """Whether `mon` is in normal form: its two sides do not end in one
+    special arrow."""
+    la, ra = mon.left.arrows, mon.right.arrows
+    return not la or not ra or la[-1] != ra[-1] or la[-1] not in alg._junction
 
 
 def ck_rewrite(alg, mon):
     """One Cuntz-Krieger rewrite of `mon` at its junction, as (sign,
     monomial) pairs, or None when `mon` is normal: s'g.(t'g)*, g special
     at v, is s'.t'* minus s'h.(t'h)* for the other arrows h at v."""
-    left, right = mon
-    if not left.arrows or not right.arrows \
-            or left.arrows[-1] != right.arrows[-1] \
-            or left.arrows[-1] not in alg._junction:
+    if is_normal(alg, mon):
         return None
+    left, right = mon
     v, others = alg._junction[left.arrows[-1]]
     la, ra = left.arrows[:-1], right.arrows[:-1]
     out = [(1, Monomial(Path(left.source, v, la), Path(right.source, v, ra)))]

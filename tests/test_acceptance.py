@@ -262,7 +262,7 @@ def test_criterion_9_filtration():
             for n in range(4):
                 profile = block_profile(q, n)
                 assert profile.count \
-                    == (n + 1) * q.v_prime + (q.v - q.v_prime)
+                    == (n + 1) * q.num_sinks + (q.v - q.num_sinks)
                 assert filtration_span_dim(q, n) == profile.sum_of_squares
                 assert inclusion_k0_matrix(q, n) \
                     == expected_inclusion_matrix(q, n)

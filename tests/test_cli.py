@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import call_within, unfactorable_dense_quiver
+from helpers import call_within, cycle_text, unfactorable_dense_quiver
 from leavittk import cli, groups, ktheory
 from leavittk.cli import main, parse_records
 from leavittk.ktheory import DEFAULT_WINDOW
@@ -31,6 +31,14 @@ def run_cli(args):
 
 def quiver_path(name: str) -> str:
     return str(DATA / name)
+
+
+@pytest.fixture(scope="module")
+def long_cycle(tmp_path_factory) -> str:
+    """The path of a 20,000-vertex cycle's quiver file."""
+    path = tmp_path_factory.mktemp("cycle") / "cycle.q"
+    path.write_text(cycle_text(20000))
+    return str(path)
 
 
 class TestKmod:
@@ -59,7 +67,10 @@ class TestKmod:
         assert out.splitlines()[0].startswith("# hypothesis: base field k")
 
     def test_composite_modulus_label(self):
-        _, out, _ = run_cli(["kmod", quiver_path("rose3.q"), "--mod", "6"])
+        """The caveat is a line of the table; nothing goes to stderr."""
+        code, out, err = run_cli(["kmod", quiver_path("rose3.q"),
+                                  "--mod", "6"])
+        assert (code, err) == (0, "")
         assert "not a prime power" in out
 
     def test_window_flags(self):
@@ -185,27 +196,11 @@ class TestExitCodes:
                                   "--eval", text])
         assert (code, out, err) == (1, "", message + "\n")
 
-    @pytest.mark.parametrize("text,normal_form", [
-        ("\u0663/\u0664 x", "3/4 x"),
-        ("x\u3000y", "x y")])
-    def test_unicode_digits_and_spaces(self, text, normal_form):
-        """Arabic-Indic digits are decimal, and an ideographic space
-        separates tokens."""
-        code, out, err = run_cli(["algebra", quiver_path("rose2.q"),
-                                  "--eval", text])
-        assert (code, err) == (0, "")
-        assert out.splitlines()[0] == f"normal form: {normal_form}"
-
-    def test_kmap_bound_exit_four(self, tmp_path):
+    def test_kmap_bound_exit_four(self, long_cycle):
         """A 20,000-vertex cycle would need a 20,000 x 20,000 K-map; it is
         refused before any row is allocated."""
-        n = 20000
-        path = tmp_path / "cycle.q"
-        path.write_text("vertices " + " ".join(f"v{i}" for i in range(n))
-                        + "\n" + "".join(f"arrow a{i} v{i} v{(i + 1) % n}\n"
-                                         for i in range(n)))
-        for args in (["kmod", str(path), "--mod", "4"],
-                     ["analyze", str(path), "--primes", "2"]):
+        for args in (["kmod", long_cycle, "--mod", "4"],
+                     ["analyze", long_cycle, "--primes", "2"]):
             got = call_within(2, lambda: run_cli(args))
             assert got == (4, "", "work bound exceeded: K-map of 20000 x "
                                   "20000 would exceed 100000000 cells\n")
@@ -311,6 +306,16 @@ class TestExitCodes:
 
 
 class TestAnalyze:
+    def test_determinant_bound_exit_four(self, tmp_path):
+        """A sink-free K-map of 401 rows is built, and its determinant is
+        refused before the elimination starts."""
+        path = tmp_path / "cycle401.q"
+        path.write_text(cycle_text(401))
+        got = call_within(2, lambda: run_cli(["analyze", str(path),
+                                              "--primes", "2"]))
+        assert got == (4, "", "work bound exceeded: determinant of a 401 x "
+                              "401 K-map would exceed 400 rows\n")
+
     def test_rose3_divisible(self):
         code, out, _ = run_cli(["analyze", quiver_path("rose3.q"),
                                 "--primes", "5"])
@@ -364,8 +369,8 @@ class TestAnalyze:
                                   "--primes", "3,2^2"])
         assert code == 0 and err == "" and "[modulus 2^2 = 4]" in out
         big = "10000000000000000000000013"  # prime, past the proven range
-        code, out, err = run_cli(["analyze", quiver_path("rose2.q"),
-                                  "--primes", big])
+        code, out, err = call_within(2, lambda: run_cli(
+            ["analyze", quiver_path("rose2.q"), "--primes", big]))
         assert code == 3 and out == ""
         assert "bad modulus" in err and big in err
 
@@ -457,6 +462,28 @@ class TestAlgebraCommand:
                              "--eval", "(a* + b*).(a + b)"])
         assert "normal form: 1" in out
 
+    @pytest.mark.parametrize("text,normal_form", [
+        ("\u0663/\u0664 x", "3/4 x"),
+        ("x\u3000y", "x y"),
+        ("2/3 x . 3/2 x*", "1 - y y*"),
+        ("1/2 x . 2/3 x* - 1/3 y y*", "1/3 - 2/3 y y*")])
+    def test_normal_forms(self, text, normal_form):
+        """Arabic-Indic digits are decimal, an ideographic space separates
+        tokens, and scalars multiply through a Cuntz-Krieger rewrite."""
+        for fmt, key in (("text", "normal form: "),
+                         ("records", "normal_form=")):
+            code, out, err = run_cli(["algebra", quiver_path("rose2.q"),
+                                      "--eval", text, "--format", fmt])
+            assert (code, err) == (0, "")
+            assert out.splitlines()[0] == key + normal_form
+
+    def test_long_cycle(self, long_cycle):
+        """The algebra of a 20,000-vertex cycle is built in one pass over
+        its arrows."""
+        got = call_within(2, lambda: run_cli(["algebra", long_cycle,
+                                              "--eval", "a0"]))
+        assert got == (0, "normal form: a0\ndegree 1: a0\n", "")
+
     def test_grading_lines(self):
         _, out, _ = run_cli(["algebra", quiver_path("rose2.q"),
                              "--eval", "x + y*"])
@@ -499,6 +526,30 @@ class TestFiltrationCommand:
         _, out, _ = run_cli(["filtration", quiver_path("jacobson2.q"),
                              "--level", "0"])
         assert "2 blocks" in out
+
+    # stage dimensions past the golden transcripts, which stop at level 2
+    DIMENSIONS = {("jacobson2.q", 3): 1549, ("jacobson2.q", 4): 13942,
+                  ("rose1.q", 3): 1, ("rose1.q", 4): 1,
+                  ("rose2.q", 3): 64, ("rose2.q", 4): 256,
+                  ("rose3.q", 3): 729, ("rose3.q", 4): 6561,
+                  ("toeplitz.q", 3): 5, ("toeplitz.q", 4): 6}
+
+    @pytest.mark.parametrize("name,level", sorted(DIMENSIONS))
+    def test_levels_three_and_four(self, name, level):
+        args = ["filtration", quiver_path(name), "--level", str(level)]
+        code, out, err = run_cli(args + ["--format", "records"])
+        assert (code, err) == (0, "")
+        records = dict(parse_records(out))
+        assert records["symbolic_dimension"] \
+            == str(self.DIMENSIONS[name, level])
+        assert [records[k] for k in ("dimension_match", "inclusion_match",
+                                     "phi_match")] == ["OK"] * 3
+        code, out, _ = run_cli(args)
+        assert code == 0
+        assert {"dimension match: OK",
+                "inclusion matrix equals diag(id, incidence^T): OK",
+                "corner matrix equals zero-over-identity: OK"} \
+            <= set(out.splitlines())
 
 
 class TestSplitCommand:

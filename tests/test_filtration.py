@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import ENGINE_QUIVERS, call_within, ck_rewrite, \
-    jacobson_quiver, path_count_matrix, random_no_source_quiver, rose, \
-    toeplitz_quiver
+from helpers import ENGINE_QUIVERS, call_within, ck_rewrite, cycle_text, \
+    is_normal, jacobson_quiver, path_count_matrix, random_no_source_quiver, \
+    rose, toeplitz_quiver
 from leavittk import cli, filtration, quiver
 from leavittk.algebra import LeavittAlgebra, Monomial, _paths_by_target, \
     _sort_key
@@ -17,8 +17,7 @@ from leavittk.filtration import (block_profile, expected_inclusion_matrix,
 from leavittk.groups import SizeLimitError
 from leavittk.ktheory import leavitt_matrix
 from leavittk.matrices import IntMatrix
-from leavittk.quiver import SourcesPresentError, order_sinks_first, \
-    parse_quiver
+from leavittk.quiver import SourcesPresentError, parse_quiver
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,10 +60,11 @@ class TestBlockProfile:
         for q in quivers:
             for n in range(4):
                 prof = block_profile(q, n)
-                assert prof.count == (n + 1) * q.v_prime + (q.v - q.v_prime)
+                assert prof.count \
+                    == (n + 1) * q.num_sinks + (q.v - q.num_sinks)
 
     def test_sources_rejected(self):
-        q = order_sinks_first(parse_quiver("vertices a b\narrow x a b\narrow l b b"))
+        q = parse_quiver("vertices a b\narrow x a b\narrow l b b")
         with pytest.raises(SourcesPresentError):
             block_profile(q, 1)
 
@@ -73,8 +73,8 @@ class TestBlockProfile:
         rng = random.Random(20)
         quivers = [random_no_source_quiver(rng, also_sink_free=i % 2 == 1)
                    for i in range(40)]
-        assert any(q.v_prime for q in quivers)
-        assert any(not q.v_prime for q in quivers)
+        assert any(q.num_sinks for q in quivers)
+        assert any(not q.num_sinks for q in quivers)
         return quivers
 
     def test_sizes_are_path_count_column_sums(self):
@@ -133,7 +133,7 @@ class TestSpanDimension:
             filtration_span_dim(rose(4), 4)
 
 
-DATA_QUIVERS = {p.name: order_sinks_first(parse_quiver(p.read_text()))
+DATA_QUIVERS = {p.name: parse_quiver(p.read_text())
                 for p in sorted(DATA.glob("*.q"))}
 
 
@@ -164,12 +164,8 @@ class TestLevelBound:
     def test_long_cycle_at_level_twenty(self, tmp_path, capsys):
         """240 vertices in one cycle: inside the work bound at level 20,
         so the request must finish, not hang."""
-        names = [f"v{i}" for i in range(240)]
-        text = "vertices " + " ".join(names) + "\n" + "".join(
-            f"arrow a{i} {v} {names[(i + 1) % 240]}\n"
-            for i, v in enumerate(names))
         path = tmp_path / "cycle240.q"
-        path.write_text(text)
+        path.write_text(cycle_text(240))
         code = call_within(5, lambda: cli.main(
             ["filtration", str(path), "--level", "20", "--format", "records"]))
         assert code == 0
@@ -225,7 +221,7 @@ def _stage_two(name: str) -> tuple:
     labels = filtration._block_labels(q, 2)
     monomials = _every_spanning_monomial(labels, by_target)
     count, rest = filtration._spanning_monomials(alg, labels, by_target)
-    assert rest == [m for m in monomials if not alg._is_normal(m)]
+    assert rest == [m for m in monomials if not is_normal(alg, m)]
     assert count == len(monomials) - len(rest)
     return alg, labels, monomials, count, rest
 
@@ -261,7 +257,7 @@ class TestShortestLeadPivots:
         petal leaves no such term, and toeplitz's sink-level monomials
         come first).  The set spans what stage 2 spans."""
         alg, labels, monomials, count, rest = _stage_two(name)
-        mon = next(m for m in monomials if not alg._is_normal(m))
+        mon = next(m for m in monomials if not is_normal(alg, m))
         row = alg._normalize([(mon, 1)])
         lead = min(row, key=_sort_key)
         assert row.pop(lead) == 1 and lead not in monomials
@@ -367,7 +363,7 @@ class TestBlockCounting:
         one rank."""
         rng = random.Random(4)
         quivers = [random_no_source_quiver(rng) for _ in range(40)]
-        assert any(q.v_prime for q in quivers)
+        assert any(q.num_sinks for q in quivers)
         for q in list(ENGINE_QUIVERS.values()) + quivers:
             alg = LeavittAlgebra(q)
             by_target = _paths_by_target(alg, 3, filtration._SPAN_LIMIT)
@@ -397,7 +393,7 @@ class TestImplicitPivotsInRewrite:
     def _quivers() -> list:
         rng = random.Random(21)
         with_sinks = [q for q in (random_no_source_quiver(rng, 4, 8)
-                                  for _ in range(80)) if q.v_prime]
+                                  for _ in range(80)) if q.num_sinks]
         assert len(with_sinks) >= 20
         return list(ENGINE_QUIVERS.values()) + with_sinks[:20]
 
@@ -443,7 +439,7 @@ class TestImplicitPivotsInRewrite:
                     pool.setdefault(w, []).extend(paths)
             terms = [(Monomial(s, t), rng.choice((1, -1, 2, 3)))
                      for paths in pool.values() for s in paths for t in paths
-                     if not alg._is_normal(Monomial(s, t))]
+                     if not is_normal(alg, Monomial(s, t))]
             assert any(len(m.left) != len(m.right) for m, _ in terms)
             for term in terms:
                 assert alg._normalize([term], implicit) \

@@ -15,8 +15,8 @@ from leavittk.ktheory import (DegreeData, KGroupTable, SplitCheckResult,
                               leavitt_matrix, les_table_for_quiver,
                               mod_l_ktheory, moore_splitting_check,
                               suslin_coefficients)
-from leavittk.quiver import SourcesPresentError, order_sinks_first, \
-    parse_quiver, reduced_incidence
+from leavittk.quiver import SourcesPresentError, parse_quiver, \
+    reduced_incidence
 
 
 def G(*orders):
@@ -34,7 +34,7 @@ class TestLeavittMatrix:
             assert leavitt_matrix(rose(n + 1)).tolists() == [[-n]]
 
     def test_sources_rejected(self):
-        q = order_sinks_first(parse_quiver("vertices a b\narrow x a b\narrow l b b"))
+        q = parse_quiver("vertices a b\narrow x a b\narrow l b b")
         with pytest.raises(SourcesPresentError):
             leavitt_matrix(q)
 
@@ -54,7 +54,7 @@ class TestLeavittMatrix:
         quivers += [random_ladder_quiver(rng, 30, 3, sinks) for sinks in (0, 5)]
         for q in quivers:
             assert leavitt_matrix(q) == \
-                IntMatrix.identity_below_zero(q.v, q.v - q.v_prime) \
+                IntMatrix.identity_below_zero(q.v, q.v - q.num_sinks) \
                 - reduced_incidence(q).transpose()
 
 
@@ -136,7 +136,7 @@ class TestModLTables:
                             for i, a in enumerate(q.arrows)))
             mod = Modulus.of(rng.choice([2, 3, 4, 8, 9]))
             t1 = mod_l_ktheory(q, mod, 0, 1)
-            t2 = mod_l_ktheory(order_sinks_first(relabeled), mod, 0, 1)
+            t2 = mod_l_ktheory(relabeled, mod, 0, 1)
             assert t1.group_at(0) == t2.group_at(0)
             assert t1.group_at(1) == t2.group_at(1)
 
@@ -359,6 +359,22 @@ class TestDivisibilityReport:
             unfactorable_dense_quiver(), [(2, 1)]))
         assert isinstance(got, SizeLimitError)
         assert "cannot factor 368029041531894267421" in str(got)
+
+    def test_determinant_bound_is_inclusive(self, monkeypatch):
+        """At a bound of 2 rows the determinant of a sink-free 2 x 2 map
+        is taken and that of a 3 x 3 one is not; a map with a sink has
+        no determinant, so its rows are not bounded."""
+        monkeypatch.setattr(ktheory, "_DET_BOUND", 2)
+        two_cycle = parse_quiver("vertices u w\narrow a u w\narrow b w u")
+        assert divisibility_report(two_cycle, [(2, 1)]).determinant == 0
+        three_cycle = parse_quiver(
+            "vertices u v w\narrow a u v\narrow b v w\narrow c w u")
+        with pytest.raises(SizeLimitError, match="determinant of a 3 x 3 "
+                                                 "K-map would exceed 2 rows"):
+            divisibility_report(three_cycle, [(2, 1)])
+        sinked = parse_quiver(
+            "vertices s u w\narrow a u w\narrow b w u\narrow c u s")
+        assert divisibility_report(sinked, [(2, 1)]).determinant is None
 
     def test_rose_three_petals(self):
         q = rose(3)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (ENGINE_QUIVERS, dense_quiver, random_ladder_quiver,
                      random_no_source_quiver)
+from leavittk.cli import parse_records
 from leavittk.groups import (_ORACLE_BOUND, FinAbGroup, Modulus,
                              brute_force_mod_oracle,
                              cokernel_mod, kernel_cokernel,
@@ -17,6 +18,8 @@ from leavittk.groups import (_ORACLE_BOUND, FinAbGroup, Modulus,
                              local_smith_exponents)
 from leavittk.ktheory import leavitt_matrix
 from leavittk.matrices import IntMatrix, smith_normal_form
+from leavittk.quiver import parse_quiver
+from test_cli import run_cli
 
 MODULI = (2, 2 ** 7, 49, 72, 360, 10 ** 18 + 3)
 ORACLE_SIZE = 1000  # largest m**rows and m**cols the oracle is run on
@@ -185,3 +188,23 @@ def test_shared_unit_phase_matches_every_route(matrix, m):
     assert local == kernel_cokernel(smith_normal_form(matrix), modulus)
     if max(m ** matrix.rows, m ** matrix.cols) <= _ORACLE_BOUND:
         assert local == brute_force_mod_oracle(matrix, modulus)
+
+
+def test_cli_on_a_300_vertex_ladder(tmp_path):
+    """`kmod --mod 360` on ladder(300), one cycle arrow plus 3 arrows to
+    vertices drawn from random.Random(300) per vertex: the shared unit
+    phase against one full local elimination per prime power."""
+    rng, n = random.Random(300), 300
+    path = tmp_path / "big.q"
+    path.write_text("\n".join(
+        ["vertices " + " ".join(f"v{i}" for i in range(n))]
+        + [f"arrow c{i} v{i} v{(i + 1) % n}" for i in range(n)]
+        + [f"arrow e{i}_{k} v{i} v{rng.randrange(n)}"
+           for i in range(n) for k in range(3)]) + "\n")
+    code, out, err = run_cli(["kmod", str(path), "--mod", "360",
+                              "--format", "records"])
+    assert (code, err) == (0, "")
+    records = dict(parse_records(out))
+    matrix = leavitt_matrix(parse_quiver(path.read_text()))
+    kernel, cokernel = per_prime_assembly(matrix, Modulus.of(360))
+    assert (records["K_{0}"], records["K_{1}"]) == (str(cokernel), str(kernel))
