@@ -12,7 +12,7 @@ from .filtration import (Block, BlockProfile, block_profile,
 from .groups import (FinAbGroup, Modulus, SizeLimitError,
                      brute_force_mod_oracle, cokernel_int, cokernel_mod,
                      factorize, kernel_cokernel, kernel_cokernel_mod,
-                     kernel_mod, kernel_rank_int, local_smith_exponents)
+                     kernel_mod, kernel_rank_int)
 from .ktheory import (DegreeData, DivisibilityReport, KGroupTable, LesEntry,
                       SplitCheckResult, corner_les, divisibility_report,
                       leavitt_matrix, les_table_for_quiver, mod_l_ktheory,

@@ -99,18 +99,16 @@ class _Parser:
         return self._as_element(value)
 
     def expr(self):
-        negate = False
         if self.peek()[0] == "-":
             self.advance()
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = self._negate(acc)
+            acc = -self.term()
+        else:
+            acc = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.term()
             if op == "-":
-                rhs = self._negate(rhs)
+                rhs = -rhs
             acc = self._add(acc, rhs)
         return acc
 
@@ -120,11 +118,9 @@ class _Parser:
             kind = self.peek()[0]
             if kind == ".":
                 self.advance()
-                acc = self._mul(acc, self.factor())
-            elif kind in ("num", "id", "("):
-                acc = self._mul(acc, self.factor())
-            else:
+            elif kind not in ("num", "id", "("):
                 return acc
+            acc = acc * self.factor()
 
     def factor(self):
         value = self.primary()
@@ -173,16 +169,10 @@ class _Parser:
             return self.alg.one() * value
         return value
 
-    def _negate(self, value):
-        return -value
-
     def _add(self, a, b):
         if isinstance(a, Fraction) and isinstance(b, Fraction):
             return a + b
         return self._as_element(a) + self._as_element(b)
-
-    def _mul(self, a, b):
-        return a * b
 
 
 def parse_element(alg: LeavittAlgebra, text: str) -> Element:

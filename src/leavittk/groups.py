@@ -4,10 +4,12 @@ and kernels/cokernels of integer matrices over Z and over Z/m.
 Every group is stored in its canonical shape (free rank plus a
 divisibility chain of torsion orders), so equality of groups is plain
 equality of normal forms; no isomorphism search happens anywhere.
-Over Z/m the groups come from one unit-pivot phase over Z/m and then,
-per prime power p^e of m, the valuation phases over Z/p^e on what it
-left; the certified Smith form over Z is the integral route and the
-reference the local one is tested on.
+Over Z/m the groups come from one route, `kernel_cokernel_mod`: one
+unit-pivot phase over Z/m and then, per prime power p^e of m, the
+valuation phases over Z/p^e on what it left.  It is tested against two
+references that share none of its code: the certified Smith form over Z
+(`kernel_cokernel`) and the enumeration oracle
+(`brute_force_mod_oracle`).
 """
 
 from __future__ import annotations
@@ -349,51 +351,25 @@ def _pivot_phase(rows: list, m: int, pk: int) -> int:
     return pivots
 
 
-def _local_phases(rows: list, p: int, e: int, k: int = 0) -> list:
-    """Pivot exponents of sparse rows over Z/p^e with no entry of
-    valuation below k: phase k pivots on the entries of valuation k,
-    which divide every entry left, then phase k + 1, ..., until no row
-    is left."""
-    q = p ** e
-    exponents = []
-    pk = p ** k
-    while rows:
-        exponents += [k] * _pivot_phase(rows, q, pk)
-        k, pk = k + 1, pk * p
-    return exponents
-
-
-def local_smith_exponents(matrix: IntMatrix, p: int, e: int) -> tuple:
-    """Exponents k < e of the nonzero diagonal entries p^k of the Smith
-    form of `matrix` over the local ring Z/p^e (p prime), ascending.
-
-    Gaussian elimination on sparse rows (column -> entry in [0, p^e)),
-    keeping no transforms: one pivot phase per valuation k, each taking
-    entries of valuation k on the shortest rows first.  This is the
-    per-prime reference that `kernel_cokernel_mod` is tested against.
-
-    >>> local_smith_exponents(IntMatrix([[2, 0], [0, 12]]), 2, 3)
-    (1, 2)
-    >>> local_smith_exponents(IntMatrix([[2, 0], [0, 12]]), 3, 1)
-    (0,)
-    """
-    return tuple(_local_phases(_sparse_rows(matrix, p ** e), p, e))
-
-
 def kernel_cokernel_mod(matrix: IntMatrix, modulus: Modulus):
     """(kernel, cokernel) of the induced map (Z/m)^cols -> (Z/m)^rows.
 
-    One unit phase over Z/m first pivots on every entry prime to m it
-    can reach; a unit mod m is a unit mod each prime power p^e of m, so
-    each of its u pivots is an exponent 0 for every p.  For each p^e the
-    small residual is then reduced mod p^e and finished by the phases of
-    `local_smith_exponents`.  Each pivot exponent k adds Z/p^k to both
-    groups, and each unused column (row) a full Z/p^e to the kernel
-    (cokernel).
+    Gaussian elimination on sparse rows (column -> entry in [0, m)),
+    keeping no transforms.  One unit phase over Z/m first pivots on every
+    entry prime to m it can reach; a unit mod m is a unit mod each prime
+    power p^e of m, so each of its u pivots is an exponent 0 for every p.
+    For each p^e the small residual is then reduced mod p^e, and phase
+    k = 0, 1, ... pivots on its entries of valuation k, which divide
+    every entry left, until no row is left.  Each pivot exponent k adds
+    Z/p^k to both groups, and each unused column (row) a full Z/p^e to
+    the kernel (cokernel).  `kernel_cokernel` and the oracle check it.
 
     >>> [str(g) for g in kernel_cokernel_mod(IntMatrix([[2, 0]]),
     ...                                      Modulus.of(12))]
     ['Z/2 (+) Z/12', 'Z/2']
+    >>> [str(g) for g in kernel_cokernel_mod(IntMatrix([[4, 0], [0, 6]]),
+    ...                                      Modulus.of(8))]
+    ['Z/2 (+) Z/4', 'Z/2 (+) Z/4']
     """
     m = modulus.m
     rows = _sparse_rows(matrix, m)
@@ -402,11 +378,14 @@ def kernel_cokernel_mod(matrix: IntMatrix, modulus: Modulus):
     for p, e in modulus.factorization:
         q = p ** e
         if q == m:  # the unit phase was this prime's phase 0
-            ks = units + _local_phases(rows, p, e, 1)
+            residual, k = rows, 1
         else:
-            residual = [r for row in rows
-                        if (r := {j: y for j, x in row.items() if (y := x % q)})]
-            ks = units + _local_phases(residual, p, e)
+            residual, k = [r for row in rows if (r := {
+                j: y for j, x in row.items() if (y := x % q)})], 0
+        ks = list(units)
+        while residual:
+            ks += [k] * _pivot_phase(residual, q, p ** k)
+            k += 1
         kernel_parts[p] = ks + [e] * (matrix.cols - len(ks))
         cokernel_parts[p] = ks + [e] * (matrix.rows - len(ks))
     return (FinAbGroup.from_primary_parts(0, kernel_parts),
@@ -430,8 +409,9 @@ def brute_force_mod_oracle(matrix: IntMatrix, modulus: Modulus):
     """Kernel and cokernel of the map (Z/m)^cols -> (Z/m)^rows by
     exhaustive enumeration of the image, classifying each group from
     its p^j-torsion counts.  Independent of both elimination routes
-    (the Smith form over Z and the local elimination over Z/p^e);
-    exists to certify them on small instances.
+    (the Smith form over Z and `kernel_cokernel_mod`'s pivot phases over
+    Z/m): it calls neither, nor the route's `from_primary_parts`; exists
+    to certify them on small instances.
 
     The image is the subgroup of (Z/m)^rows generated by the columns:
     starting from {0}, each column c adds the cosets image + k.c until
@@ -492,7 +472,7 @@ def _classify_by_annihilator_counts(modulus: Modulus, count_killed) -> FinAbGrou
     multiset of exponents in the p-primary decomposition.  A count that
     is not a power of p, 0 included, raises AssertionError.
     """
-    parts = {}
+    orders = []
     for p, e in modulus.factorization:
         logs = []
         for j in range(e + 1):
@@ -506,6 +486,6 @@ def _classify_by_annihilator_counts(modulus: Modulus, count_killed) -> FinAbGrou
             logs.append(k)
         # lam[j] = number of cyclic p-power factors with exponent >= j
         lam = [logs[j] - logs[j - 1] for j in range(1, e + 1)] + [0]
-        parts[p] = [j for j in range(1, e + 1)
-                    for _ in range(lam[j - 1] - lam[j])]
-    return FinAbGroup.from_primary_parts(0, parts)
+        orders += [p ** j for j in range(1, e + 1)
+                   for _ in range(lam[j - 1] - lam[j])]
+    return FinAbGroup.from_cyclic_orders(orders)

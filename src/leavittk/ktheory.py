@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import index
 
 from .groups import FinAbGroup, Modulus, SizeLimitError, _proven_prime, \
     factorize, kernel_cokernel, kernel_cokernel_mod
@@ -85,9 +86,10 @@ _WINDOW_BOUND = 10 ** 4
 
 
 def _check_window(n_min: int, n_max: int):
-    """ValueError for an empty window, SizeLimitError for one of more
-    than 10^4 degrees."""
-    if n_min > n_max:
+    """TypeError for an end that is not an int (a float included),
+    ValueError for an empty window, SizeLimitError for one of more than
+    10^4 degrees."""
+    if index(n_min) > index(n_max):
         raise ValueError("empty degree window")
     if n_max - n_min >= _WINDOW_BOUND:
         raise SizeLimitError(f"degree window holds at most {_WINDOW_BOUND} "
@@ -255,18 +257,18 @@ def divisibility_report(q: Quiver, primes) -> DivisibilityReport:
     K-groups uniquely m-divisible; a nonzero group in some parity forces
     one of each adjacent integral pair to be nonzero in that parity.
     Each listed l must be proven prime (so below 3.3e24) and each l^nu
-    below 10^4300.  The matrix is eliminated once, over Z/M with M the
-    product of l^E over the distinct l, E the largest requested power of
-    l, and each table over Z/l^nu tensors those groups with Z/l^nu: a
-    Smith invariant d gives Z/gcd(d, M), and gcd(gcd(d, M), l^nu) =
-    gcd(d, l^nu) for nu <= E, while an unused row or column gives
-    Z/M (x) Z/l^nu = Z/l^nu.
+    below 10^4300; a float l or nu raises TypeError.  The matrix is
+    eliminated once, over Z/M with M the product of l^E over the
+    distinct l, E the largest requested power of l, and each table over
+    Z/l^nu tensors those groups with Z/l^nu: a Smith invariant d gives
+    Z/gcd(d, M), and gcd(gcd(d, M), l^nu) = gcd(d, l^nu) for nu <= E,
+    while an unused row or column gives Z/M (x) Z/l^nu = Z/l^nu.
     A sink-free |det| is factored before any elimination, so one that
     factorize cannot finish raises SizeLimitError at no elimination cost.
     A sink-free K-map of more than 400 rows raises SizeLimitError after
     it is built and before its determinant is taken.
     """
-    primes = list(primes)
+    primes = [(index(l), index(nu)) for l, nu in primes]
     top: dict = {}  # prime -> largest requested exponent
     for l, nu in primes:
         if nu < 1 or not _proven_prime(l):

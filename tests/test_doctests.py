@@ -1,27 +1,15 @@
 import doctest
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-import leavittk.algebra
-import leavittk.cli
-import leavittk.element_syntax
-import leavittk.filtration
-import leavittk.groups
-import leavittk.ktheory
-import leavittk.matrices
-import leavittk.quiver
+import leavittk
 
-MODULES = [
-    leavittk.algebra,
-    leavittk.cli,
-    leavittk.element_syntax,
-    leavittk.filtration,
-    leavittk.groups,
-    leavittk.ktheory,
-    leavittk.matrices,
-    leavittk.quiver,
-]
+# every module of the package, so a new one runs its doctests unlisted
+MODULES = [importlib.import_module(f"leavittk.{info.name}")
+           for info in pkgutil.iter_modules(leavittk.__path__)]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -98,6 +98,21 @@ class TestModLTables:
         with pytest.raises(ValueError):
             mod_l_ktheory(rose(2), Modulus.of(3), 2, 1)
 
+    @pytest.mark.parametrize("window", [(0, 2.5), (0.0, 2), (-1, 1.0)])
+    @pytest.mark.parametrize("entry", [
+        lambda lo, hi: mod_l_ktheory(rose(3), Modulus.of(4), lo, hi),
+        lambda lo, hi: corner_les({n: DegreeData(phi=IntMatrix([[2]]))
+                                   for n in range(-2, 4)}, lo, hi),
+        lambda lo, hi: suslin_coefficients(Modulus.of(4), IntMatrix([[3]]),
+                                           lo, hi),
+        lambda lo, hi: moore_splitting_check(2, Modulus.of(4), lo, hi),
+    ], ids=["mod_l_ktheory", "corner_les", "suslin_coefficients",
+            "moore_splitting_check"])
+    def test_float_window_refused(self, entry, window):
+        # a float end would build a table whose degrees() fails later
+        with pytest.raises(TypeError):
+            entry(*window)
+
     def test_composite_modulus_is_silent(self):
         """A composite modulus warns nowhere, table, splitting check or
         LES: its caveat is the table's `modulus.is_prime_power`."""
@@ -314,6 +329,11 @@ class TestDivisibilityReport:
         for bad in ((6, 1), (1, 1), (2, 0)):
             with pytest.raises(ValueError):
                 divisibility_report(rose(3), [(5, 1), bad])
+
+    @pytest.mark.parametrize("bad", [(2.0, 1), (2, 1.0), (7.0, 1)])
+    def test_float_prime_power_refused(self, bad):
+        with pytest.raises(TypeError):
+            divisibility_report(rose(3), [(5, 1), bad])
 
     @pytest.mark.parametrize("nu", [14285, 10 ** 7])
     def test_power_past_digit_bound_refused_unbuilt(self, nu):

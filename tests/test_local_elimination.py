@@ -3,6 +3,7 @@ certified Smith form) and, where it is small enough, the enumeration
 oracle."""
 
 import random
+from functools import reduce
 from math import prod
 
 from hypothesis import given, settings
@@ -14,8 +15,7 @@ from leavittk.cli import parse_records
 from leavittk.groups import (_ORACLE_BOUND, FinAbGroup, Modulus,
                              brute_force_mod_oracle,
                              cokernel_mod, kernel_cokernel,
-                             kernel_cokernel_mod, kernel_mod,
-                             local_smith_exponents)
+                             kernel_cokernel_mod, kernel_mod)
 from leavittk.ktheory import leavitt_matrix
 from leavittk.matrices import IntMatrix, smith_normal_form
 from leavittk.quiver import parse_quiver
@@ -99,13 +99,18 @@ def test_ladder_and_dense_quivers():
 
 
 def test_local_exponents_fixtures():
+    # over Z/p^e each Smith exponent k adds Z/p^k to both groups, and
+    # each unused column (row) a full Z/p^e to the kernel (cokernel)
     m = IntMatrix([[4, 0, 0], [0, 6, 0], [0, 0, 0]])
-    assert local_smith_exponents(m, 2, 3) == (1, 2)
-    assert local_smith_exponents(m, 2, 2) == (1,)
-    assert local_smith_exponents(m, 3, 1) == (0,)
-    assert local_smith_exponents(m, 5, 2) == (0, 0)
-    assert local_smith_exponents(IntMatrix.zero(0, 3), 2, 1) == ()
-    assert local_smith_exponents(IntMatrix([[8]]), 2, 3) == ()
+    for matrix, p, e, exponents in [
+            (m, 2, 3, (1, 2)), (m, 2, 2, (1,)), (m, 3, 1, (0,)),
+            (m, 5, 2, (0, 0)), (IntMatrix.zero(0, 3), 2, 1, ()),
+            (IntMatrix([[8]]), 2, 3, ())]:
+        kernel, cokernel = (FinAbGroup.from_cyclic_orders(
+            [p ** k for k in exponents] + [p ** e] * (n - len(exponents)))
+            for n in (matrix.cols, matrix.rows))
+        assert kernel_cokernel_mod(matrix, Modulus.of(p ** e)) \
+            == (kernel, cokernel), (matrix, p, e)
 
 
 def test_zero_by_three_map():
@@ -155,15 +160,14 @@ def test_lower_powers_by_tensoring():
 
 
 def per_prime_assembly(matrix: IntMatrix, modulus: Modulus) -> tuple:
-    """(kernel, cokernel) from one full local elimination per prime
-    power of m, the route that the shared unit phase replaces."""
-    kernel_parts, cokernel_parts = {}, {}
-    for p, e in modulus.factorization:
-        ks = list(local_smith_exponents(matrix, p, e))
-        kernel_parts[p] = ks + [e] * (matrix.cols - len(ks))
-        cokernel_parts[p] = ks + [e] * (matrix.rows - len(ks))
-    return (FinAbGroup.from_primary_parts(0, kernel_parts),
-            FinAbGroup.from_primary_parts(0, cokernel_parts))
+    """(kernel, cokernel) as the direct sum, over the prime powers p^e of
+    m, of the groups over Z/p^e (Chinese remainders): one full local
+    elimination per prime power, the route that the shared unit phase
+    replaces."""
+    local = [kernel_cokernel_mod(matrix, Modulus.of(p ** e))
+             for p, e in modulus.factorization]
+    return tuple(reduce(FinAbGroup.direct_sum, groups)
+                 for groups in zip(*local))
 
 
 PROPERTY_ENTRIES = (0, 1, -1, 2, -2, 3, 4, 6, 8, 9, 12, 27)

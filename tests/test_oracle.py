@@ -37,12 +37,15 @@ def small_shapes(m: int):
 
 @pytest.fixture(autouse=True)
 def no_elimination(monkeypatch):
-    """The oracle must run neither elimination route."""
+    """The oracle must share no code with either elimination route: not
+    the Smith form, not the pivot phases over Z/m, and not the builder
+    that turns their pivot exponents into groups."""
     def boom(*args, **kwargs):
         raise AssertionError("the oracle called an elimination route")
 
-    monkeypatch.setattr(groups, "smith_normal_form", boom)
-    monkeypatch.setattr(groups, "local_smith_exponents", boom)
+    for name in ("_pivot_phase", "kernel_cokernel_mod", "smith_normal_form"):
+        monkeypatch.setattr(groups, name, boom)
+    monkeypatch.setattr(groups.FinAbGroup, "from_primary_parts", boom)
 
 
 def test_random_matrices():
