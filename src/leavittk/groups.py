@@ -8,13 +8,13 @@ Over Z/m the groups come from one route, `kernel_cokernel_mod`: one
 unit-pivot phase over Z/m and then, per prime power p^e of m, the
 valuation phases over Z/p^e on what it left.  It is tested against two
 references that share none of its code: the certified Smith form over Z
-(`kernel_cokernel`) and the enumeration oracle
-(`brute_force_mod_oracle`).
+(`kernel_cokernel`) and the enumeration oracle (`brute_force_mod_oracle`),
+which counts q-torsion as g^cols or g^rows over |im(M mod g)|, g = gcd(q, m),
+by coset closures in (Z/p^j)^rows while sum((p^e)^max(rows, cols)) <= 1e6.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, prod
@@ -405,59 +405,60 @@ def kernel_mod(matrix: IntMatrix, modulus: Modulus) -> FinAbGroup:
 _ORACLE_BOUND = 10 ** 6
 
 
+def _image_order(matrix: IntMatrix, g: int) -> int:
+    """|im(M mod g)|: from {0}, each column c adds the cosets image + k.c
+    of (Z/g)^rows until k.c falls back into the image; 1 when g = 1."""
+    if g == 1:
+        return 1
+    image = {(0,) * matrix.rows}
+    for column in map(matrix.transpose().row, range(matrix.cols)):
+        c = tuple(x % g for x in column)
+        base, kc = list(image), c
+        # k.c lies in a coset base + i.c added earlier (i < k) only if
+        # (k - i).c lies in base, so testing the grown set stops at the
+        # order of c modulo base.
+        while kc not in image:
+            image.update(tuple((a + b) % g for a, b in zip(y, kc))
+                         for y in base)
+            kc = tuple((a + b) % g for a, b in zip(kc, c))
+    return len(image)
+
+
 def brute_force_mod_oracle(matrix: IntMatrix, modulus: Modulus):
-    """Kernel and cokernel of the map (Z/m)^cols -> (Z/m)^rows by
-    exhaustive enumeration of the image, classifying each group from
-    its p^j-torsion counts.  Independent of both elimination routes
-    (the Smith form over Z and `kernel_cokernel_mod`'s pivot phases over
-    Z/m): it calls neither, nor the route's `from_primary_parts`; exists
-    to certify them on small instances.
+    """Kernel and cokernel of the map (Z/m)^cols -> (Z/m)^rows, read off
+    p^j-torsion counts by exhaustive enumeration.  It exists to certify
+    both elimination routes on small instances, so it calls neither the
+    Smith form nor `kernel_cokernel_mod`'s pivot phases, nor the route's
+    `from_primary_parts`.
 
-    The image is the subgroup of (Z/m)^rows generated by the columns:
-    starting from {0}, each column c adds the cosets image + k.c until
-    k.c falls back into the image.  For q with g = gcd(q, m), let N_g
-    count the image elements whose coordinates are all divisible by g.
-    Since q.x = 0 exactly on (m/g).(Z/m)^cols, whose image (m/g).image
-    has order |image| / N_g, and q.y lies in the image exactly when g.y
-    lies in its N_g elements divisible by g,
+    For q with g = gcd(q, m), reduction mod g maps the image H onto
+    H_g = im(M mod g), with kernel H ∩ g.(Z/m)^rows, so q kills
+    ker(M mod g) in the kernel and as many cosets as coker(M mod g) has:
 
-        #{x in kernel : q.x = 0} = g^cols * N_g / |image|,
-        #{y + image in cokernel : q.y in image} = g^rows * N_g / |image|.
+        #{x in kernel : q.x = 0} = g^cols / |H_g|,
+        #{y + H in cokernel : q.y in H} = g^rows / |H_g|.
 
-    One pass over the image tallies gcd(m, y_1, ..., y_rows) for all q.
-
-    Requires m**cols <= 1e6 and m**rows <= 1e6.
+    |H_g| is the product of the |H_{p^j}| over the p^j exactly dividing
+    g (Chinese remainders), each closed in (Z/p^j)^rows by
+    `_image_order`: a composite m never enumerates (Z/m)^rows.  Requires
+    sum((p^e)^max(rows, cols)) <= 1e6 over the p^e exactly dividing m.
 
     >>> [str(g) for g in brute_force_mod_oracle(IntMatrix([[2, 0]]),
     ...                                         Modulus.of(12))]
     ['Z/2 (+) Z/12', 'Z/2']
     """
-    m = modulus.m
     rows, cols = matrix.rows, matrix.cols
-    if m ** cols > _ORACLE_BOUND or m ** rows > _ORACLE_BOUND:
-        raise SizeLimitError(
-            f"oracle bound exceeded: {m}^{cols} or {m}^{rows} > {_ORACLE_BOUND}")
-
-    columns = matrix.transpose()
-    image = {(0,) * rows}
-    for j in range(cols):
-        c = tuple(x % m for x in columns.row(j))
-        base = list(image)
-        kc = c
-        # k.c lies in a coset base + i.c added earlier (i < k) only if
-        # (k - i).c lies in base, so testing the grown set stops at the
-        # order of c modulo base.
-        while kc not in image:
-            image.update(tuple((a + b) % m for a, b in zip(y, kc))
-                         for y in base)
-            kc = tuple((a + b) % m for a, b in zip(kc, c))
-
-    gcd_counts = Counter(gcd(m, *y) for y in image)
+    prime_powers = [p ** e for p, e in modulus.factorization]
+    size = sum(q ** max(rows, cols) for q in prime_powers)
+    if size > _ORACLE_BOUND:
+        raise SizeLimitError(f"oracle bound exceeded: the prime powers of "
+                             f"{modulus} give {size} > {_ORACLE_BOUND} vectors")
+    orders = {p ** j: _image_order(matrix, p ** j)
+              for p, e in modulus.factorization for j in range(e + 1)}
 
     def killed(q, n):
-        g = gcd(q, m)
-        n_g = sum(k for h, k in gcd_counts.items() if h % g == 0)
-        return g ** n * n_g // len(image)
+        g = gcd(q, modulus.m)
+        return g ** n // prod(orders[gcd(g, pe)] for pe in prime_powers)
 
     return (_classify_by_annihilator_counts(modulus, lambda q: killed(q, cols)),
             _classify_by_annihilator_counts(modulus, lambda q: killed(q, rows)))

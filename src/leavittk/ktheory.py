@@ -63,18 +63,22 @@ def leavitt_matrix(q: Quiver) -> IntMatrix:
 class KGroupTable:
     """Mod-m K-groups over the degrees window[0]..window[1]: zero in
     negative degrees, `even` (the cokernel) in even nonnegative ones and
-    `odd` (the kernel) in odd ones.  Lookups outside the window raise
-    KeyError."""
+    `odd` (the kernel) in odd ones.  A degree outside the window raises
+    KeyError, a non-int window end or degree TypeError (a bool is 0 or 1)."""
 
     modulus: Modulus
     even: FinAbGroup
     odd: FinAbGroup
     window: tuple  # (n_min, n_max)
 
+    def __post_init__(self):
+        _check_window(*self.window)
+
     def degrees(self) -> tuple:
         return tuple(range(self.window[0], self.window[1] + 1))
 
     def group_at(self, n: int) -> FinAbGroup:
+        n = index(n)
         if not self.window[0] <= n <= self.window[1]:
             raise KeyError(n)
         if n < 0:

@@ -1,7 +1,7 @@
 """Shared quiver builders, a cycle's quiver file, random generators, a
-literal-definition torsion counter, matrix-power path counts, a
-normal-basis enumeration, a step-by-step rewriting reference and a
-time-bounded call for the test suite."""
+literal walk of a map mod g, a literal-definition torsion counter,
+matrix-power path counts, a normal-basis enumeration, a step-by-step
+rewriting reference and a time-bounded call for the test suite."""
 
 from __future__ import annotations
 
@@ -113,18 +113,21 @@ def unfactorable_dense_quiver() -> Quiver:
     return Quiver.build(vertices, arrows)
 
 
+def literal_map(matrix, g: int) -> dict:
+    """x -> matrix.x mod g for every x in (Z/g)^cols, one walk in full."""
+    rows = [matrix.row(i) for i in range(matrix.rows)]
+    return {x: tuple(sum(a * b for a, b in zip(row, x)) % g for row in rows)
+            for x in itertools.product(range(g), repeat=matrix.cols)}
+
+
 def literal_torsion_counts(matrix, m: int, qs) -> dict:
     """q -> (#{x in ker : q.x = 0}, #{y + im in coker : q.y in im}) for
     the map (Z/m)^cols -> (Z/m)^rows, straight from the definitions: one
     walk over all of (Z/m)^cols for the image and the kernel, then one
     walk over all of (Z/m)^rows per q."""
-    rows = [matrix.row(i) for i in range(matrix.rows)]
-    image, kernel = set(), []
-    for x in itertools.product(range(m), repeat=matrix.cols):
-        y = tuple(sum(a * b for a, b in zip(row, x)) % m for row in rows)
-        image.add(y)
-        if not any(y):
-            kernel.append(x)
+    values = literal_map(matrix, m)
+    image = set(values.values())
+    kernel = [x for x, y in values.items() if not any(y)]
     counts = {}
     for q in qs:
         killed = sum(1 for x in kernel if all(q * a % m == 0 for a in x))

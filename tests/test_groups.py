@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import call_within
+from helpers import call_within, random_no_source_quiver
 from leavittk.groups import (FinAbGroup, Modulus, SizeLimitError,
                              _proven_prime, brute_force_mod_oracle,
                              cokernel_int, cokernel_mod, factorize,
-                             kernel_cokernel, kernel_mod, kernel_rank_int)
+                             kernel_cokernel, kernel_cokernel_mod,
+                             kernel_mod, kernel_rank_int)
+from leavittk.ktheory import leavitt_matrix
 from leavittk.matrices import IntMatrix, smith_normal_form
 
 BIG_PRIME = 10 ** 18 + 3
@@ -249,6 +251,15 @@ class TestModularKernels:
         with pytest.raises(SizeLimitError):
             brute_force_mod_oracle(IntMatrix.zero(1, 9), Modulus.of(9))
 
+    def test_oracle_size_guard_sums_the_prime_powers(self):
+        # each (p^e)^2 is below the bound, only their sum is above it
+        parts = (2 ** 9, 3 ** 6, 5 ** 4)
+        squares = [q ** 2 for q in parts]
+        assert max(squares) < 10 ** 6 < sum(squares) == 1_184_210
+        with pytest.raises(SizeLimitError, match="1184210"):
+            brute_force_mod_oracle(IntMatrix.identity(2),
+                                   Modulus.of(2 ** 9 * 3 ** 6 * 5 ** 4))
+
     def test_permutation_and_negation_invariance(self):
         rng = random.Random(11)
         for _ in range(40):
@@ -281,6 +292,22 @@ class TestModularKernels:
                                 for i in range(rows)))
             assert kernel_mod(m, mod).order() * len(image) == mod.m ** cols
             assert cokernel_mod(m, mod).order() * len(image) == mod.m ** rows
+
+
+def test_oracle_reaches_composite_moduli():
+    """360^3 exceeds 10^6, but the oracle closes the image only mod 8, 9
+    and 5, so it answers on every 3-vertex K-map at m = 360."""
+    rng = random.Random(45)
+    quivers = [q for q in (random_no_source_quiver(rng, 3, 8)
+                           for _ in range(90)) if q.v == 3]
+    assert sum(q.num_sinks == 0 for q in quivers) >= 10
+    for m in (12, 360):
+        mod = Modulus.of(m)
+        for q in quivers:
+            matrix = leavitt_matrix(q)
+            oracle = brute_force_mod_oracle(matrix, mod)
+            assert oracle == kernel_cokernel(smith_normal_form(matrix), mod) \
+                == kernel_cokernel_mod(matrix, mod), (q, m)
 
 
 @st.composite

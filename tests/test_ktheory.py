@@ -1,5 +1,6 @@
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -112,6 +113,21 @@ class TestModLTables:
         # a float end would build a table whose degrees() fails later
         with pytest.raises(TypeError):
             entry(*window)
+
+    @pytest.mark.parametrize("degree", [0.7, 1.0, Fraction(1)],
+                             ids=["float", "integral-float", "fraction"])
+    def test_non_int_degree_refused(self, degree):
+        # 0.7 % 2 is odd, so a lookup that skipped the check would answer
+        table = mod_l_ktheory(rose(1), Modulus.of(4), 0, 2)
+        with pytest.raises(TypeError):
+            table.group_at(degree)
+        assert table.group_at(True) == table.group_at(1) == table.odd
+
+    def test_non_int_table_window_refused(self):
+        table = mod_l_ktheory(rose(1), Modulus.of(4), 0, 2)
+        with pytest.raises(TypeError):
+            KGroupTable(modulus=table.modulus, even=table.even,
+                        odd=table.odd, window=(0, 2.5))
 
     def test_composite_modulus_is_silent(self):
         """A composite modulus warns nowhere, table, splitting check or

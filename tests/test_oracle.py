@@ -1,13 +1,14 @@
 """The enumeration oracle against the literal definitions of kernel and
 cokernel torsion, on every instance small enough to walk (Z/m)^cols and
-(Z/m)^rows in full."""
+(Z/m)^rows in full, and its image orders |im(M mod g)| against the
+literal image."""
 
 import random
 from math import gcd, prod
 
 import pytest
 
-from helpers import call_within, literal_torsion_counts
+from helpers import call_within, literal_map, literal_torsion_counts
 from leavittk import groups
 from leavittk.groups import Modulus, brute_force_mod_oracle
 from leavittk.matrices import IntMatrix
@@ -83,6 +84,39 @@ def test_empty_shapes():
         for rows, cols in small_shapes(m):
             if not (rows and cols):
                 matches_definitions(IntMatrix.zero(rows, cols), m)
+
+
+def random_matrix(rng, rows: int, cols: int, g: int) -> IntMatrix:
+    return IntMatrix.zero(rows, cols) if not (rows and cols) else IntMatrix(
+        [[rng.randint(-3 * g, 3 * g) for _ in range(cols)]
+         for _ in range(rows)])
+
+
+def test_image_order_is_the_literal_image():
+    rng = random.Random(43)
+    for g in (1, 2, 3, 4, 8, 9):
+        shapes = [(0, 0), (0, 2), (2, 0)] + [
+            (rng.randint(1, 3), rng.randint(1, 3)) for _ in range(10)]
+        for rows, cols in shapes:
+            matrix = random_matrix(rng, rows, cols, g)
+            assert groups._image_order(matrix, g) \
+                == len(set(literal_map(matrix, g).values())), (matrix, g)
+
+
+def test_image_orders_split_the_image():
+    # N_g = #{y in H : g divides every y_i} is the kernel of H -> H_g
+    rng = random.Random(44)
+    for m in (4, 8, 9, 12, 18, 36):
+        divisors = [g for g in range(1, m + 1) if m % g == 0]
+        for rows, cols in small_shapes(m):
+            if m ** max(rows, cols) > 1500:
+                continue
+            matrix = random_matrix(rng, rows, cols, m)
+            image = set(literal_map(matrix, m).values())
+            for g in divisors:
+                n_g = sum(1 for y in image if all(a % g == 0 for a in y))
+                assert n_g * groups._image_order(matrix, g) == len(image), \
+                    (matrix, m, g)
 
 
 def test_counts_hold_for_every_q(monkeypatch):
