@@ -21,6 +21,7 @@ counting formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .algebra import LeavittAlgebra, Monomial, _new, _paths_by_target, \
     _sort_key, corner_data, corner_phi
@@ -58,13 +59,13 @@ _SPAN_LIMIT = 60000
 def _check_level(q: Quiver, n: int) -> None:
     """Refuse level n before any per-level work.
 
-    ValueError when n is negative.  SizeLimitError when the stage-n K0
-    matrices would pass the bound, with B(n) * B(n+1) cells for
-    B(n) = (n+1)v' + v - v' blocks, or the path table would, with at
-    least v * n(n+1)/2 arrows: a quiver with no sources has a path of
-    every length into every vertex.
+    TypeError when n is not an int, ValueError when it is negative, and
+    SizeLimitError when the stage-n K0 matrices would pass the bound,
+    with B(n) * B(n+1) cells for B(n) = (n+1)v' + v - v' blocks, or the
+    path table would, with at least v * n(n+1)/2 arrows: a quiver with
+    no sources has a path of every length into every vertex.
     """
-    if n < 0:
+    if index(n) < 0:
         raise ValueError("filtration level must be nonnegative")
     cells = ((n + 1) * q.num_sinks + q.v - q.num_sinks) \
         * ((n + 2) * q.num_sinks + q.v - q.num_sinks)

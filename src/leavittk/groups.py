@@ -104,10 +104,28 @@ def factorize(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class Modulus:
-    """A coefficient modulus m >= 2 together with its factorization."""
+    """A coefficient modulus m >= 2 together with its factorization; the
+    constructor checks that its prime powers, with increasing primes,
+    multiply to m."""
 
     m: int
     factorization: tuple
+
+    def __post_init__(self):  # index: a float raises TypeError
+        left, last, e = index(self.m), 1, 0
+        if left < 2:
+            raise ValueError(f"modulus must be >= 2, got {left}")
+        for p, e in self.factorization:
+            if index(p) <= last or index(e) < 1:
+                raise ValueError("prime powers need increasing p >= 2 and "
+                                 f"e >= 1, got {p}^{e}")
+            while e and left % p == 0:  # p >= 2: at most log2(m) steps
+                left, e, last = left // p, e - 1, p
+            if e:  # p^e does not divide what is left of m
+                break
+        if left != 1 or e:
+            raise ValueError(f"factorization {self.factorization} does not "
+                             f"multiply to {self.m}")
 
     @classmethod
     def of(cls, m: int) -> "Modulus":

@@ -342,7 +342,7 @@ class SplitCheckResult:
 
 def rose_quiver(petals: int) -> Quiver:
     """One vertex with the given number of loops."""
-    arrows = [(f"a{i}", "w", "w") for i in range(1, petals + 1)]
+    arrows = [(f"a{i}", "w", "w") for i in range(1, index(petals) + 1)]
     return Quiver.build(("w",), arrows)
 
 

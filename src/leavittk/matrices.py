@@ -50,6 +50,7 @@ class IntMatrix:
         >>> (z.rows, z.cols), (z.transpose().rows, z.transpose().cols)
         ((0, 3), (3, 0))
         """
+        rows, cols = index(rows), index(cols)
         return cls._of(((0,) * cols,) * rows, cols)
 
     @classmethod
@@ -64,6 +65,7 @@ class IntMatrix:
         >>> IntMatrix.identity_below_zero(3, 2).tolists()
         [[0, 0], [1, 0], [0, 1]]
         """
+        rows, cols = index(rows), index(cols)
         return cls._of(((0,) * cols,) * (rows - cols)
                        + tuple((0,) * j + (1,) + (0,) * (cols - j - 1)
                                for j in range(cols)), cols)
@@ -224,6 +226,12 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     operation on the first `cols` columns updates D and V together, so
     each elementary operation is written and applied once.
 
+    The same loop keeps the divisibility chain (Cohen, GTM 138, §2.4):
+    once pivot p's row and column are clean, a row with an entry p does
+    not divide is added to row t.  The next pass picks a smaller pivot or
+    clears row t to a remainder below |p|, so |pivot| drops within two
+    passes and the loop ends, with a divisibility chain on the diagonal.
+
     >>> dec = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     >>> [dec.D[i, i] for i in range(2)]
     [2, 4]
@@ -235,7 +243,8 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
              for i, r in enumerate(matrix.tolists())]
     table += [[int(i == k) for k in range(cols)] for i in range(cols)]
 
-    def pivot_at(t):
+    t = 0
+    while t < min(rows, cols):
         best = None
         for i in range(t, rows):
             for j in range(t, cols):
@@ -243,19 +252,14 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
                 if x != 0 and (best is None
                                or abs(x) < abs(table[best[0]][best[1]])):
                     best = (i, j)
-        return best
-
-    t = 0
-    while t < min(rows, cols):
-        pos = pivot_at(t)
-        if pos is None:
+        if best is None:
             break
-        i, j = pos
+        i, j = best
         table[t], table[i] = table[i], table[t]
         for row in table:
             row[t], row[j] = row[j], row[t]
         # Clear column t, then row t; remainders force a smaller pivot on
-        # the next pass, so this inner loop terminates.
+        # the next pass.
         clean = True
         p = table[t][t]
         for i in range(t + 1, rows):
@@ -270,29 +274,14 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
                 if table[t][j]:
                     clean = False
         if clean:
-            t += 1
+            bad = [i for i in range(t + 1, rows)
+                   if any(x % p for x in table[i][t + 1:cols])]
+            if bad:
+                table[t] = [x + y for x, y in zip(table[t], table[bad[0]])]
+            else:
+                t += 1
 
-    # Enforce the divisibility chain on the diagonal with tracked ops.
-    n = min(rows, cols)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            a, b = table[i][i], table[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                changed = True
-                j = i + 1
-                _add_col(table, i, j, 1)
-                # 2x2 unimodular row mix puts gcd(a, b) at (i, i).
-                g, x, y = _xgcd(a, b)
-                ri, rj = table[i], table[j]
-                table[i], table[j] = (
-                    [x * p + y * q for p, q in zip(ri, rj)],
-                    [(-b // g) * p + (a // g) * q for p, q in zip(ri, rj)],
-                )
-                _add_col(table, j, i, -(table[i][j] // g))
-
-    for i in range(n):
+    for i in range(min(rows, cols)):
         if table[i][i] < 0:
             table[i] = [-x for x in table[i]]
 
@@ -300,18 +289,3 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
         U=IntMatrix(r[cols:] for r in table[:rows]),
         D=IntMatrix._of(tuple(tuple(r[:cols]) for r in table[:rows]), cols),
         V=IntMatrix(table[rows:]), matrix=matrix)
-
-
-def _xgcd(a: int, b: int):
-    """(g, x, y) with g = gcd(a, b) = x*a + y*b, g > 0 for (a, b) != (0, 0)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t

@@ -155,6 +155,16 @@ class TestLevelBound:
                            match="filtration level must be nonnegative"):
             fn(toeplitz_quiver(), -1)
 
+    @pytest.mark.parametrize("level", (1.5, 1.0, Fraction(1)),
+                             ids=("float", "integral-float", "fraction"))
+    @pytest.mark.parametrize("fn", (block_profile, filtration_span_dim,
+                                    inclusion_k0_matrix, phi_k0_matrix,
+                                    stabilized_block_difference))
+    def test_non_int_level_refused(self, fn, level):
+        with pytest.raises(TypeError):
+            fn(toeplitz_quiver(), level)
+        assert fn(toeplitz_quiver(), True) == fn(toeplitz_quiver(), 1)
+
     def test_long_paths_refused(self):
         # one path of every length: the path table alone would hold about
         # 1.8e9 arrows

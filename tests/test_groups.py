@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -119,6 +120,31 @@ class TestFloatsRefused:
             Modulus.of(12.0)
         m = Modulus.of(12)
         assert type(m.m) is int and m.factorization == ((2, 2), (3, 1))
+        # the raw constructor checks its fields too
+        for m, factorization in ((4.0, ((2, 2),)), ("4", ((2, 2),)),
+                                 (4, ((2.0, 2),)), (4, ((2, 2.0),)),
+                                 (4, ((2, Fraction(2)),))):
+            with pytest.raises(TypeError):
+                Modulus(m, factorization)
+
+    @pytest.mark.parametrize("m, factorization, message", (
+        (1, (), "modulus must be >= 2, got 1"),
+        (4, ((2, 2), (3, 0)), r"increasing p >= 2 and e >= 1, got 3\^0"),
+        (4, ((1, 10 ** 18), (2, 2)), r"increasing p >= 2 and e >= 1, got 1\^"),
+        (4, ((2, 1), (2, 1)), r"increasing p >= 2 and e >= 1, got 2\^1"),
+        (12, ((2, 2),), "does not multiply to 12"),
+        (12, ((2, 2), (3, 1), (5, 1)), "does not multiply to 12"),
+        (4, ((2, 10 ** 18),), "does not multiply to 4"),
+        (4, (), "does not multiply to 4"),
+    ), ids=("m=1", "e=0", "p=1", "repeated-p", "short", "long", "huge-e",
+            "empty"))
+    def test_modulus_constructor_checks_factorization(self, m, factorization,
+                                                      message):
+        # a wrong factorization gives wrong groups: with 12 read as 2^2,
+        # the map [[-3]] would give 0, 0 instead of Z/3, Z/3
+        with pytest.raises(ValueError, match=message):
+            Modulus(m, factorization)
+        assert Modulus(12, ((2, 2), (3, 1))) == Modulus.of(12)
 
     def test_factorize(self):
         for n in (360.0, 2.5):

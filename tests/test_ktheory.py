@@ -293,6 +293,12 @@ class TestMooreSplitting:
         assert moore_splitting_check(8, Modulus.of(8)).equal
         assert moore_splitting_check(15, Modulus.of(8)).equal
 
+    @pytest.mark.parametrize("petals", (2.0, Fraction(2)),
+                             ids=("float", "fraction"))
+    def test_non_int_petals_refused(self, petals):
+        with pytest.raises(TypeError):
+            ktheory.rose_quiver(petals)
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             moore_splitting_check(1, Modulus.of(4))

@@ -24,6 +24,15 @@ def test_non_integral_entries_rejected():
             IntMatrix(entries)
     assert IntMatrix([[True, 3]]).tolists() == [[1, 3]]
     assert type(IntMatrix([[True]])[0, 0]) is int
+    # shapes go through operator.index too
+    for bad in (2.0, Fraction(2)):
+        for make in (lambda: IntMatrix.zero(bad, 2),
+                     lambda: IntMatrix.zero(2, bad),
+                     lambda: IntMatrix.identity(bad),
+                     lambda: IntMatrix.identity_below_zero(3, bad)):
+            with pytest.raises(TypeError):
+                make()
+    assert IntMatrix.identity(True) == IntMatrix([[1]])
 
 
 def test_ragged_rows_rejected():
@@ -179,6 +188,16 @@ def test_snf_known_divisibility_example():
     for d in ds:
         prod *= d
     assert prod == det
+    # Hand-computed: the first pivot leaves a clean row and column but
+    # does not divide the rest, so the loop repairs the chain first.
+    for entries, factors in (
+            ([[2, 0], [0, 3]], (1, 6)),
+            ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (2, 2, 60)),
+            ([[9, 0, 0], [0, 6, 0], [0, 0, 4]], (1, 6, 36)),
+            ([[6, 4], [4, 6]], (2, 10))):
+        dec = smith_normal_form(IntMatrix(entries))
+        assert dec.verify()
+        assert dec.invariant_factors == factors
 
 
 @st.composite
@@ -226,15 +245,24 @@ def _snf_corpus():
 
 
 def test_snf_output_pinned():
-    # The digest of U, D and V over the corpus, recorded before the
-    # one-table rewrite of smith_normal_form: the rewrite keeps the pivot
-    # rule and the chain repair, so every certificate is bit-identical.
-    h = hashlib.sha256()
+    # D is unique, so its digest over the corpus has not moved since the
+    # corpus was made.  The U, D, V digest was recorded when the
+    # divisibility-chain repair moved into the pivot loop, which changed
+    # U and V on purpose; it guards the certificates against later
+    # refactors that keep the pivot rule.
+    def update(h, part):
+        # hex(): the certificates outgrow the decimal str() limit.
+        h.update(f"{part.rows} {part.cols}:".encode())
+        h.update(" ".join(map(hex, part.entries)).encode() + b";")
+
+    d_digest, udv_digest = hashlib.sha256(), hashlib.sha256()
     for m in _snf_corpus():
         dec = smith_normal_form(m)
+        assert dec.verify()
+        update(d_digest, dec.D)
         for part in (dec.U, dec.D, dec.V):
-            # hex(): the certificates outgrow the decimal str() limit.
-            h.update(f"{part.rows} {part.cols}:".encode())
-            h.update(" ".join(map(hex, part.entries)).encode() + b";")
-    assert h.hexdigest() == (
-        "f3cc314ab991b4cfa9e62c1659415ce8337ebd99249003250edbdda3547cd092")
+            update(udv_digest, part)
+    assert d_digest.hexdigest() == (
+        "d004a23e37d62e1454811ae9c3f3e8986139df4e696312530a510fd0128e5475")
+    assert udv_digest.hexdigest() == (
+        "7c63b8fd397eeadbc0dedd23c572a1c44ea2d441a9a7d448f7c0f2ad490bdb73")
